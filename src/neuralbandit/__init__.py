@@ -31,7 +31,6 @@ from neuralbandit.confidence import (
     DesignMatrix,
     GammaInputs,
     gamma_theoretical,
-    gamma_constant,
     ConstantWidth,
     TheoreticalWidth,
     RidgeWidth,

@@ -18,7 +18,6 @@ __all__ = [
     "DesignMatrix",
     "GammaInputs",
     "gamma_theoretical",
-    "gamma_constant",
     "ConstantWidth",
     "TheoreticalWidth",
     "RidgeWidth",
@@ -162,6 +161,12 @@ class GammaInputs:
             raise ValueError(f"j_steps must be >= 0, got {self.j_steps}")
         if min(self.c1, self.c2, self.c3) < 0:
             raise ValueError("c1, c2, c3 must be nonnegative")
+        decay_base = self.eta * self.width * self.lam
+        if decay_base >= 1.0:
+            raise ValueError(
+                f"eta*width*lam = {decay_base:.6g} >= 1: step size too large for the "
+                "geometric decay term to be meaningful"
+            )
 
 
 def gamma_theoretical(inputs: GammaInputs, logdet: float) -> float:
@@ -180,12 +185,6 @@ def gamma_theoretical(inputs: GammaInputs, logdet: float) -> float:
         raise ValueError(f"logdet must be nonnegative, got {logdet}")
     nu, delta, s, lam = inputs.nu, inputs.delta, inputs.s_norm, inputs.lam
     m, L, t, eta, j = inputs.width, inputs.depth, inputs.t, inputs.eta, inputs.j_steps
-    decay_base = eta * m * lam
-    if decay_base >= 1.0:
-        raise ValueError(
-            f"eta*m*lam = {decay_base:.6g} >= 1: step size too large for the "
-            "geometric decay term to be meaningful"
-        )
     mfac = m ** (-1.0 / 6.0) * math.sqrt(math.log(m)) if m > 1 else 0.0
     front = math.sqrt(1.0 + inputs.c1 * mfac * L**4 * t ** (7.0 / 6.0) * lam ** (-7.0 / 6.0))
     inner = logdet + inputs.c2 * mfac * L**4 * t ** (5.0 / 3.0) * lam ** (-1.0 / 6.0) \
@@ -198,7 +197,7 @@ def gamma_theoretical(inputs: GammaInputs, logdet: float) -> float:
     if math.isinf(j):
         decay = 0.0
     else:
-        decay = (1.0 - decay_base) ** (j / 2.0) * math.sqrt(t / lam)
+        decay = (1.0 - eta * m * lam) ** (j / 2.0) * math.sqrt(t / lam)
     approx = mfac * L ** 3.5 * t ** (5.0 / 3.0) * lam ** (-5.0 / 3.0) * (1.0 + math.sqrt(t / lam))
     return front * (nu * math.sqrt(inner) + math.sqrt(lam) * s) \
         + (lam + inputs.c3 * t * L) * (decay + approx)
@@ -208,17 +207,12 @@ class ConstantWidth:
     """Fixed exploration width gamma_t = gamma for every round."""
 
     def __init__(self, gamma: float):
-        if gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {gamma}")
+        if gamma is None or gamma < 0:
+            raise ValueError(f"gamma must be a nonnegative number, got {gamma}")
         self.gamma = gamma
 
     def __call__(self, t: int, logdet: float) -> float:
         return self.gamma
-
-
-def gamma_constant(gamma: float) -> ConstantWidth:
-    """Width provider returning the same gamma at every round."""
-    return ConstantWidth(gamma)
 
 
 class TheoreticalWidth:
@@ -235,8 +229,14 @@ class RidgeWidth:
     """Closed-form ridge width: nu * sqrt(logdet - 2 log delta) + sqrt(lam) * S."""
 
     def __init__(self, nu: float, delta: float, s_norm: float, lam: float):
-        if nu <= 0 or not 0 < delta < 1 or s_norm <= 0 or lam <= 0:
-            raise ValueError("require nu > 0, 0 < delta < 1, s_norm > 0, lam > 0")
+        if nu <= 0:
+            raise ValueError(f"nu must be positive, got {nu}")
+        if not 0 < delta < 1:
+            raise ValueError(f"delta must lie in (0, 1), got {delta}")
+        if s_norm <= 0:
+            raise ValueError(f"s_norm must be positive, got {s_norm}")
+        if lam <= 0:
+            raise ValueError(f"lam must be positive, got {lam}")
         self.nu = nu
         self.delta = delta
         self.s_norm = s_norm

@@ -9,6 +9,7 @@ coincide.
 """
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -222,9 +223,9 @@ def load_csv(path, label_column: str, num_classes: int | None = None) -> CsvData
     """Read a header-ed CSV with one label column and numeric features.
 
     Labels map to contiguous class ids in first-appearance order.  A
-    non-numeric feature cell is an error naming the row and column; if
-    num_classes disagrees with the observed class count, a warning is
-    issued and the observed count wins.
+    non-numeric or non-finite (nan, inf) feature cell is an error naming the
+    row and column; if num_classes disagrees with the observed class count,
+    a warning is issued and the observed count wins.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -250,12 +251,15 @@ def load_csv(path, label_column: str, num_classes: int | None = None) -> CsvData
                 if col_idx == label_idx:
                     continue
                 try:
-                    vals.append(float(cell))
+                    value = float(cell)
                 except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
                     raise ValueError(
-                        f"{path}: non-numeric feature cell at row {row_no}, "
+                        f"{path}: non-numeric or non-finite feature cell at row {row_no}, "
                         f"column {header[col_idx]!r}: {cell!r}"
-                    ) from None
+                    )
+                vals.append(value)
             raw_label = row[label_idx]
             if raw_label not in label_ids:
                 label_ids[raw_label] = len(label_ids)

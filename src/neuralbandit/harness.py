@@ -5,6 +5,9 @@ seed base_seed + i for its context/noise and policy streams, while the
 environment's hidden reward parameters are drawn from a stream keyed by the
 base seed alone, so all repetitions share one reward function.  Regret is
 recorded against the true means (pseudo-regret), never the noisy rewards.
+
+Validation builds the configured policy through the same constructors a run
+uses, so their checks are the only copy of the policy rules.
 """
 
 import dataclasses
@@ -12,10 +15,12 @@ import itertools
 import json
 import math
 import os
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -123,63 +128,6 @@ class PolicyConfig:
             return self.preprocess
         return self.algorithm in NEURAL_ALGORITHMS
 
-    def validate(self) -> list:
-        errors = []
-        if self.algorithm not in ALGORITHMS:
-            errors.append(
-                f"policy.algorithm: unknown algorithm {self.algorithm!r}, choose from {ALGORITHMS}"
-            )
-            return errors
-        if self.lam <= 0:
-            errors.append(f"policy.lam: must be positive, got {self.lam}")
-        if self.algorithm in NEURAL_ALGORITHMS:
-            if self.width < 2 or self.width % 2:
-                errors.append(f"policy.width: must be a positive even integer, got {self.width}")
-            if self.depth < 2:
-                errors.append(f"policy.depth: must be >= 2, got {self.depth}")
-            if self.design_mode not in ("full", "diagonal"):
-                errors.append(f"policy.design_mode: must be 'full' or 'diagonal', got {self.design_mode!r}")
-        if self.algorithm == "neural_ucb":
-            if self.gamma_inputs is None:
-                if self.gamma is None or self.gamma < 0:
-                    errors.append(f"policy.gamma: must be >= 0, got {self.gamma}")
-            else:
-                try:
-                    _gamma_inputs_from_dict(self, self.gamma_inputs)
-                except (TypeError, ValueError) as exc:
-                    errors.append(f"policy.gamma_inputs: {exc}")
-        if self.algorithm in ("neural_ucb", "neural_greedy"):
-            if self.eta <= 0:
-                errors.append(f"policy.eta: must be positive, got {self.eta}")
-            if self.j_steps is not None and self.j_steps < 0:
-                errors.append(f"policy.j_steps: must be >= 0, got {self.j_steps}")
-            if self.batch_size is not None and self.batch_size < 1:
-                errors.append(f"policy.batch_size: must be >= 1, got {self.batch_size}")
-            if self.cadence < 1:
-                errors.append(f"policy.cadence: must be >= 1, got {self.cadence}")
-            if self.train_start < 0:
-                errors.append(f"policy.train_start: must be >= 0, got {self.train_start}")
-        if self.algorithm in ("neural_greedy", "neural_greedy0", "random"):
-            if not 0.0 <= self.epsilon <= 1.0:
-                errors.append(f"policy.epsilon: must lie in [0, 1], got {self.epsilon}")
-        if self.algorithm == "neural_ucb0":
-            if not 0 < self.delta < 1:
-                errors.append(f"policy.delta: must lie in (0, 1), got {self.delta}")
-            if self.nu <= 0:
-                errors.append(f"policy.nu: must be positive, got {self.nu}")
-            if self.s_norm <= 0:
-                errors.append(f"policy.s_norm: must be positive, got {self.s_norm}")
-        if self.algorithm == "lin_ucb" and self.alpha < 0:
-            errors.append(f"policy.alpha: must be >= 0, got {self.alpha}")
-        if self.algorithm == "kernel_ucb":
-            if self.kernel_bandwidth <= 0:
-                errors.append(f"policy.kernel_bandwidth: must be positive, got {self.kernel_bandwidth}")
-            if self.kernel_beta < 0:
-                errors.append(f"policy.kernel_beta: must be >= 0, got {self.kernel_beta}")
-            if self.kernel_cap < 1:
-                errors.append(f"policy.kernel_cap: must be >= 1, got {self.kernel_cap}")
-        return errors
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -190,7 +138,7 @@ class ExperimentConfig:
     output: str | None = None
 
     def validate(self) -> list:
-        errors = self.environment.validate() + self.policy.validate()
+        errors = self.environment.validate() + _policy_errors(self)
         if self.repetitions < 1:
             errors.append(f"repetitions: must be >= 1, got {self.repetitions}")
         return errors
@@ -238,25 +186,29 @@ def _dataclass_from_dict(cls, data, prefix, errors):
 
 
 def _gamma_inputs_from_dict(policy: PolicyConfig, data: dict) -> GammaInputs:
-    data = dict(data)
-    j = data.pop("j_steps", policy.j_steps if policy.j_steps is not None else math.inf)
-    if isinstance(j, str) and j.lower() in ("inf", "infinity"):
-        j = math.inf
-    return GammaInputs(
-        nu=data.pop("nu", policy.nu),
-        delta=data.pop("delta", policy.delta),
-        s_norm=data.pop("s_norm", policy.s_norm),
-        lam=data.pop("lam", policy.lam),
-        width=data.pop("width", policy.width),
-        depth=data.pop("depth", policy.depth),
-        t=0,
-        eta=data.pop("eta", policy.eta),
-        j_steps=j,
-        c1=data.pop("c1", 1.0),
-        c2=data.pop("c2", 1.0),
-        c3=data.pop("c3", 1.0),
-        **data,
-    )
+    """GammaInputs from the gamma_inputs mapping, defaulting to the policy's fields."""
+    try:
+        data = dict(data)
+        j = data.pop("j_steps", policy.j_steps if policy.j_steps is not None else math.inf)
+        if isinstance(j, str) and j.lower() in ("inf", "infinity"):
+            j = math.inf
+        return GammaInputs(
+            nu=data.pop("nu", policy.nu),
+            delta=data.pop("delta", policy.delta),
+            s_norm=data.pop("s_norm", policy.s_norm),
+            lam=data.pop("lam", policy.lam),
+            width=data.pop("width", policy.width),
+            depth=data.pop("depth", policy.depth),
+            t=0,
+            eta=data.pop("eta", policy.eta),
+            j_steps=j,
+            c1=data.pop("c1", 1.0),
+            c2=data.pop("c2", 1.0),
+            c3=data.pop("c3", 1.0),
+            **data,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"gamma_inputs: {exc}") from None
 
 
 @dataclass
@@ -344,6 +296,37 @@ def _training_config(cfg: PolicyConfig) -> policies.TrainingConfig:
         eta=cfg.eta, j_steps=cfg.j_steps, batch_size=cfg.batch_size,
         cadence=cfg.cadence, train_start=cfg.train_start, warm_start=cfg.warm_start,
     )
+
+
+_POLICY_FIELDS = frozenset(f.name for f in dataclasses.fields(PolicyConfig))
+# constructor parameters whose PolicyConfig field has another name
+_RENAMED_FIELDS = {"input_dim": "preprocess", "mode": "design_mode",
+                   "bandwidth": "kernel_bandwidth", "beta": "kernel_beta", "cap": "kernel_cap"}
+
+
+def _policy_errors(config: ExperimentConfig) -> list:
+    """Build the policy a run would build and report what its constructors reject.
+
+    Constructor messages start with the parameter they reject, which names
+    the PolicyConfig field directly or through _RENAMED_FIELDS.  The seed
+    does not matter to any check, so a fixed one is used.
+    """
+    policy, env = config.policy, config.environment
+    if policy.algorithm not in ALGORITHMS:
+        return [f"policy.algorithm: unknown algorithm {policy.algorithm!r}, choose from {ALGORITHMS}"]
+    # a dataset's dimension is known only once its file is read, and a bad
+    # synthetic one is an environment error; 2 passes every dimension check
+    raw_dim = env.dimension if env.kind != "dataset" and env.dimension >= 1 else 2
+    try:
+        _build_policy(policy, SimpleNamespace(d=raw_dim), np.random.default_rng(0))
+    except (TypeError, ValueError) as exc:
+        message = str(exc)
+        name = re.match(r"\w*", message).group()
+        field_name = _RENAMED_FIELDS.get(name, name)
+        if field_name not in _POLICY_FIELDS:
+            return [f"policy: {message}"]
+        return [f"policy.{message}" if field_name == name else f"policy.{field_name}: {message}"]
+    return []
 
 
 def run_single(config: ExperimentConfig, rep: int, dataset=None,

@@ -167,6 +167,8 @@ class _TrainedNetwork:
 
     def __init__(self, shape: NetworkShape, lam: float, rng: np.random.Generator,
                  train: TrainingConfig, init=init_symmetric):
+        if lam <= 0:
+            raise ValueError(f"lam must be positive, got {lam}")
         self.shape = shape
         self.lam = lam
         self.rng = rng
@@ -352,8 +354,12 @@ class LinUCB:
     """Ridge regression UCB on raw contexts with a constant exploration alpha."""
 
     def __init__(self, dim: int, alpha: float, lam: float = 1.0):
-        if dim < 1 or alpha < 0 or lam <= 0:
-            raise ValueError("require dim >= 1, alpha >= 0, lam > 0")
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
+        if alpha < 0:
+            raise ValueError(f"alpha must be >= 0, got {alpha}")
+        if lam <= 0:
+            raise ValueError(f"lam must be positive, got {lam}")
         self.dim = dim
         self.alpha = alpha
         self.a_mat = lam * np.eye(dim)
@@ -391,8 +397,10 @@ class KernelUCB:
     def __init__(self, bandwidth: float, beta: float, lam: float = 1.0, cap: int = 1000):
         if not bandwidth > 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-        if beta < 0 or lam <= 0:
-            raise ValueError("require beta >= 0 and lam > 0")
+        if beta < 0:
+            raise ValueError(f"beta must be >= 0, got {beta}")
+        if lam <= 0:
+            raise ValueError(f"lam must be positive, got {lam}")
         if cap < 1:
             raise ValueError(f"cap must be >= 1, got {cap}")
         self.bandwidth = bandwidth

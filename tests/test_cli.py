@@ -52,10 +52,22 @@ class TestRun:
         for name in ("rounds.csv", "summary.csv", "config.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_invalid_config_exits_one_naming_field(self, tmp_path, capsys):
-        config = write_config(tmp_path, environment={"kind": "h1", "horizon": 0})
+    @pytest.mark.parametrize("environment,policy,field_name", [
+        pytest.param({"horizon": 0}, {}, "environment.horizon", id="horizon"),
+        pytest.param({"dimension": 5}, {"preprocess": False}, "policy.preprocess",
+                     id="odd-dimension-unpreprocessed"),
+        pytest.param({}, {"gamma_inputs": {"eta": 1.0}}, "policy.gamma_inputs",
+                     id="gamma-inputs-step-too-large"),
+        pytest.param({}, {"refresh_every": 0}, "policy.refresh_every", id="refresh-every"),
+    ])
+    def test_invalid_config_exits_one_naming_field(self, tmp_path, capsys,
+                                                   environment, policy, field_name):
+        data = json.loads(write_config(tmp_path).read_text())
+        data["environment"].update(environment)
+        data["policy"].update(policy)
+        config = write_config(tmp_path, **data)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
-        assert "environment.horizon" in capsys.readouterr().err
+        assert field_name in capsys.readouterr().err
 
     def test_missing_output_location_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -13,7 +13,6 @@ from neuralbandit.confidence import (
     GammaInputs,
     RidgeWidth,
     TheoreticalWidth,
-    gamma_constant,
     gamma_theoretical,
 )
 
@@ -242,15 +241,15 @@ class TestGammaTheoretical:
 
 class TestWidthProviders:
     def test_constant_width_holds_across_rounds(self):
-        width = gamma_constant(0.1)
+        width = ConstantWidth(0.1)
         assert [width(t, float(t)) for t in (0, 1, 100)] == [0.1, 0.1, 0.1]
 
     def test_zero_width_allowed(self):
-        assert gamma_constant(0.0)(5, 3.0) == 0.0
+        assert ConstantWidth(0.0)(5, 3.0) == 0.0
 
     def test_negative_width_rejected(self):
         with pytest.raises(ValueError):
-            gamma_constant(-0.1)
+            ConstantWidth(-0.1)
 
     def test_theoretical_width_fills_in_round_index(self):
         provider = TheoreticalWidth(base_inputs(t=0))

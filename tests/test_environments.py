@@ -225,8 +225,10 @@ class TestLoadCsv:
         assert ds.num_classes == 2
         assert ds.features.shape == (3, 2)
 
-    def test_non_numeric_cell_names_row_and_column(self, tmp_path):
-        path = self.write(tmp_path, "a,b,label\n1,2,cat\n3,,dog\n")
+    @pytest.mark.parametrize("cell", ["", "nan", "inf", "-Infinity"],
+                             ids=["empty", "nan", "inf", "-Infinity"])
+    def test_non_numeric_cell_names_row_and_column(self, tmp_path, cell):
+        path = self.write(tmp_path, f"a,b,label\n1,2,cat\n3,{cell},dog\n")
         with pytest.raises(ValueError, match=r"row 3.*'b'"):
             load_csv(path, "label")
 

@@ -142,6 +142,44 @@ class TestRunExperiment:
             assert results[0].instant_regret.shape == (8,)
 
 
+# one out-of-range value per PolicyConfig field, and the fields each algorithm reads;
+# preprocess=False is out of range for the odd dimension the test environment uses
+BAD_POLICY_VALUES = {
+    "width": 7, "depth": 1, "lam": 0.0, "design_mode": "sparse", "refresh_every": 0,
+    "preprocess": False, "gamma": None, "gamma_inputs": {"eta": 1.0}, "epsilon": 1.5,
+    "alpha": -1.0, "nu": 0.0, "delta": 1.0, "s_norm": 0.0, "eta": 0.0, "j_steps": -1,
+    "batch_size": 0, "cadence": 0, "train_start": -1, "kernel_bandwidth": 0.0,
+    "kernel_beta": -1.0, "kernel_cap": 0,
+}
+NETWORK_FIELDS = ("width", "depth", "lam", "preprocess")
+DESIGN_FIELDS = ("design_mode", "refresh_every")
+TRAINING_FIELDS = ("eta", "j_steps", "batch_size", "cadence", "train_start")
+FIELDS_READ = {
+    "neural_ucb": NETWORK_FIELDS + DESIGN_FIELDS + TRAINING_FIELDS + ("gamma", "gamma_inputs"),
+    "neural_greedy": NETWORK_FIELDS + TRAINING_FIELDS + ("epsilon",),
+    "neural_ucb0": NETWORK_FIELDS + DESIGN_FIELDS + ("nu", "delta", "s_norm"),
+    "neural_greedy0": NETWORK_FIELDS + DESIGN_FIELDS + ("epsilon",),
+    "lin_ucb": ("lam", "alpha"),
+    "kernel_ucb": ("lam", "kernel_bandwidth", "kernel_beta", "kernel_cap"),
+    "random": (),
+}
+
+
+class TestValidation:
+    @pytest.mark.parametrize("algorithm,field_name", [
+        (algorithm, name) for algorithm, names in FIELDS_READ.items() for name in names
+    ])
+    def test_out_of_range_field_is_named(self, algorithm, field_name):
+        policy = PolicyConfig(algorithm=algorithm,
+                              **{field_name: BAD_POLICY_VALUES[field_name]})
+        config = ExperimentConfig(
+            environment=EnvironmentConfig(kind="h1", dimension=5, horizon=5),
+            policy=policy, repetitions=1,
+        )
+        errors = config.validate()
+        assert len(errors) == 1 and f"policy.{field_name}" in errors[0], errors
+
+
 class TestEmitResults:
     def test_round_count_and_prefix_sums(self, tmp_path):
         results = run_experiment(linear_linucb_config(horizon=3, reps=2))
