@@ -117,7 +117,6 @@ class PolicyConfig:
     batch_size: int | None = 50
     cadence: int = 50
     train_start: int = 0
-    warm_start: bool = False
     # kernel
     kernel_bandwidth: float = 1.0
     kernel_beta: float = 1.0
@@ -141,6 +140,8 @@ class ExperimentConfig:
         errors = self.environment.validate() + _policy_errors(self)
         if self.repetitions < 1:
             errors.append(f"repetitions: must be >= 1, got {self.repetitions}")
+        if not isinstance(self.base_seed, int) or self.base_seed < 0:
+            errors.append(f"base_seed: must be a non-negative integer, got {self.base_seed!r}")
         return errors
 
     def to_dict(self) -> dict:
@@ -294,7 +295,7 @@ def _build_policy(cfg: PolicyConfig, env, rng):
 def _training_config(cfg: PolicyConfig) -> policies.TrainingConfig:
     return policies.TrainingConfig(
         eta=cfg.eta, j_steps=cfg.j_steps, batch_size=cfg.batch_size,
-        cadence=cfg.cadence, train_start=cfg.train_start, warm_start=cfg.warm_start,
+        cadence=cfg.cadence, train_start=cfg.train_start,
     )
 
 
@@ -385,11 +386,12 @@ def run_experiment(config: ExperimentConfig, policy_factory=None) -> list:
     if errors:
         raise ConfigError(errors)
     dataset = None
-    if config.environment.kind == "dataset":
-        dataset = environments.load_csv(
-            config.environment.dataset_path, config.environment.label_column,
-            config.environment.num_classes,
-        )
+    env = config.environment
+    if env.kind == "dataset":
+        try:
+            dataset = environments.load_csv(env.dataset_path, env.label_column, env.num_classes)
+        except (ValueError, OSError) as exc:
+            raise ConfigError([f"environment.dataset_path: {exc}"]) from None
     reps = config.repetitions
     workers = _worker_count(reps)
     if workers == 1:

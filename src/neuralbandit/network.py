@@ -160,33 +160,23 @@ def forward_batch(params: NetworkParams, x) -> np.ndarray:
     return out
 
 
-def _backward(params: NetworkParams, acts, pres, seed: np.ndarray):
-    """Per-example gradient blocks given upstream scalar weights `seed` (n,).
+def _backprop(params: NetworkParams, x: np.ndarray, seed: np.ndarray):
+    """Forward pass, then the delta recursion from upstream weights `seed` (n,).
 
-    Returns one (n, rows, cols) array per layer; the ReLU derivative at an
-    exact zero preactivation is taken as 0.
+    Returns the activations (x, a_1, ..., a_{L-1}) and the (n, m) deltas
+    d_1, ..., d_{L-1} of the hidden layers: outer(d_l[i], a_{l-1}[i]) is
+    seed_i times the gradient of f(x_i) w.r.t. W_l.  The ReLU derivative at
+    an exact zero preactivation is taken as 0.
     """
-    n = seed.shape[0]
-    m = params.shape.width
-    blocks = [None] * params.shape.depth
-    blocks[-1] = (np.sqrt(m) * seed)[:, None, None] * acts[-1][:, None, :]
-    delta = (np.sqrt(m) * seed)[:, None] * params.weights[-1].ravel()[None, :]
-    delta = delta * (pres[-1] > 0)
-    for l in range(params.shape.depth - 2, -1, -1):
-        blocks[l] = delta[:, :, None] * acts[l][:, None, :]
-        if l > 0:
-            delta = (delta @ params.weights[l]) * (pres[l - 1] > 0)
-    return blocks
-
-
-def _ravel_blocks(params: NetworkParams, blocks) -> np.ndarray:
-    """Column-major-flatten per-example blocks into rows of an (n, p) matrix."""
-    n = blocks[0].shape[0]
-    cols = []
-    for b in blocks:
-        # vec(W) column-major == row-major vec of W^T
-        cols.append(np.swapaxes(b, 1, 2).reshape(n, -1))
-    return np.concatenate(cols, axis=1)
+    _, acts, pres = _forward_pass(params, x)
+    delta = (np.sqrt(params.shape.width) * seed)[:, None] \
+        * params.weights[-1].ravel()[None, :] * (pres[-1] > 0)
+    deltas = [delta]
+    for l in range(params.shape.depth - 2, 0, -1):
+        delta = (delta @ params.weights[l]) * (pres[l - 1] > 0)
+        deltas.append(delta)
+    deltas.reverse()
+    return acts, deltas
 
 
 def gradient(params: NetworkParams, x) -> np.ndarray:
@@ -198,9 +188,13 @@ def gradient(params: NetworkParams, x) -> np.ndarray:
 def gradient_batch(params: NetworkParams, x) -> np.ndarray:
     """Gradients for each row of x, stacked into an (n, p) matrix."""
     x = _check_input(params, x, batched=True)
-    _, acts, pres = _forward_pass(params, x)
-    blocks = _backward(params, acts, pres, np.ones(x.shape[0]))
-    return _ravel_blocks(params, blocks)
+    n = x.shape[0]
+    acts, deltas = _backprop(params, x, np.ones(n))
+    # row i of a block is vec(outer(d_i, a_i)) column-major: a varies slowest
+    blocks = [(a[:, :, None] * d[:, None, :]).reshape(n, -1)
+              for a, d in zip(acts, deltas)]
+    blocks.append(np.sqrt(params.shape.width) * acts[-1])
+    return np.concatenate(blocks, axis=1)
 
 
 def gradient_weighted_sum(params: NetworkParams, x, weights) -> np.ndarray:
@@ -213,17 +207,10 @@ def gradient_weighted_sum(params: NetworkParams, x, weights) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (x.shape[0],):
         raise ValueError(f"weights shape {weights.shape} != ({x.shape[0]},)")
-    _, acts, pres = _forward_pass(params, x)
-    m = params.shape.width
-    mats = [None] * params.shape.depth
-    mats[-1] = np.sqrt(m) * (weights @ acts[-1])[None, :]
-    delta = np.outer(np.sqrt(m) * weights, params.weights[-1].ravel())
-    delta = delta * (pres[-1] > 0)
-    for l in range(params.shape.depth - 2, -1, -1):
-        mats[l] = delta.T @ acts[l]
-        if l > 0:
-            delta = (delta @ params.weights[l]) * (pres[l - 1] > 0)
-    return np.concatenate([w.ravel(order="F") for w in mats])
+    acts, deltas = _backprop(params, x, weights)
+    blocks = [(d.T @ a).ravel(order="F") for a, d in zip(acts, deltas)]
+    blocks.append(np.sqrt(params.shape.width) * (weights @ acts[-1]))
+    return np.concatenate(blocks)
 
 
 def flatten(params: NetworkParams) -> np.ndarray:

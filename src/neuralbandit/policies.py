@@ -19,7 +19,6 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from neuralbandit.confidence import DesignMatrix
 from neuralbandit.network import (
     NetworkShape,
-    NetworkParams,
     init_symmetric,
     init_plain,
     forward_batch,
@@ -55,8 +54,7 @@ class TrainingConfig:
     j_steps None means "as many steps as there are rounds so far".
     batch_size None selects full-gradient descent; otherwise stochastic
     minibatches of that size, sampled without replacement per epoch.
-    warm_start starts descent from the current parameters instead of the
-    initial ones (the proximal term always anchors to the initial ones).
+    Every retrain starts from the initial parameters.
     """
 
     eta: float = 0.01
@@ -64,7 +62,6 @@ class TrainingConfig:
     batch_size: int | None = None
     cadence: int = 50
     train_start: int = 0
-    warm_start: bool = False
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -79,26 +76,20 @@ class TrainingConfig:
             raise ValueError(f"train_start must be >= 0, got {self.train_start}")
 
 
-def _regularized_loss(params, theta_flat, theta0_flat, x, rewards, m, lam):
-    # overflow here just means divergence, which the caller detects and reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        resid = forward_batch(params, x) - rewards
-        dtheta = theta_flat - theta0_flat
-        loss = 0.5 * float(resid @ resid) + 0.5 * m * lam * float(dtheta @ dtheta)
-    return loss, resid
-
-
-def train_nn(lam, eta, j_steps, contexts, rewards, theta0,
-             batch_size=None, rng=None, start=None):
+def train_nn(lam, eta, j_steps, contexts, rewards, theta0, batch_size=None, rng=None):
     """Gradient descent on squared loss plus an m*lam-scaled proximity term.
 
     Minimizes  sum_i (f(x_i; theta) - r_i)^2 / 2 + m*lam*||theta - theta0||^2 / 2
-    for j_steps steps from `start` (default theta0) and returns the final
-    parameters together with the loss trajectory.  Full-gradient mode records
-    the loss at every iterate; minibatch mode records it at epoch boundaries.
-    Each minibatch step descends that batch's partial data sum plus the full
-    proximity term; leaving the batch term unscaled is what keeps step sizes
-    in the 1e-3..1e-1 range stable as the history grows.
+    for j_steps steps from theta0 and returns the final parameters together
+    with the loss trajectory: the full-data loss at the start of each epoch
+    and once at the end.  Full-gradient mode takes one step per epoch, so it
+    records the loss at every iterate; minibatch mode shuffles the data once
+    per epoch.  Each minibatch step descends that batch's partial data sum
+    plus the full proximity term; leaving the batch term unscaled is what
+    keeps step sizes in the 1e-3..1e-1 range stable as the history grows.
+
+    A non-finite recorded loss raises DivergenceError naming its step.
+    Overflow inside an epoch carries through to the next recorded loss.
     """
     x = np.asarray(contexts, dtype=np.float64)
     r = np.asarray(rewards, dtype=np.float64)
@@ -114,52 +105,64 @@ def train_nn(lam, eta, j_steps, contexts, rewards, theta0,
 
     shape = theta0.shape
     m = shape.width
+    b = n if batch_size is None else min(batch_size, n)
     theta0_flat = flatten(theta0)
-    params = start if start is not None else theta0
-    theta = flatten(params)
+    params, theta = theta0, theta0_flat
     losses = []
+    step = 0
 
-    def record(step, theta_flat, current):
-        loss, _ = _regularized_loss(current, theta_flat, theta0_flat, x, r, m, lam)
+    def record(resid):
+        dtheta = theta - theta0_flat
+        loss = 0.5 * float(resid @ resid) + 0.5 * m * lam * float(dtheta @ dtheta)
         if not math.isfinite(loss):
-            raise DivergenceError(
-                f"training loss is non-finite at step {step} (eta={eta})"
-            )
+            raise DivergenceError(f"training loss is non-finite at step {step} (eta={eta})")
         losses.append(loss)
-        return loss
 
-    if batch_size is None:
-        for j in range(j_steps):
-            loss, resid = _regularized_loss(params, theta, theta0_flat, x, r, m, lam)
-            if not math.isfinite(loss):
-                raise DivergenceError(
-                    f"training loss is non-finite at step {j} (eta={eta})"
-                )
-            losses.append(loss)
-            grad = gradient_weighted_sum(params, x, resid) + m * lam * (theta - theta0_flat)
-            theta = theta - eta * grad
-            params = unflatten(shape, theta)
-        record(j_steps, theta, params)
-    else:
-        b = min(batch_size, n)
-        record(0, theta, params)
-        step = 0
+    # overflow only means divergence, which the next recorded loss reports
+    with np.errstate(over="ignore", invalid="ignore"):
         while step < j_steps:
-            order = rng.permutation(n)
+            order = None if batch_size is None else rng.permutation(n)
             for lo in range(0, n, b):
                 if step >= j_steps:
                     break
-                idx = order[lo : lo + b]
+                idx = slice(lo, lo + b) if order is None else order[lo : lo + b]
                 xb, rb = x[idx], r[idx]
                 resid = forward_batch(params, xb) - rb
+                if lo == 0:
+                    record(resid if order is None else forward_batch(params, x) - r)
                 grad = gradient_weighted_sum(params, xb, resid) \
                     + m * lam * (theta - theta0_flat)
                 theta = theta - eta * grad
                 params = unflatten(shape, theta)
                 step += 1
-            record(step, theta, params)
+        record(forward_batch(params, x) - r)
 
     return params, np.asarray(losses)
+
+
+def _check_contexts(contexts) -> np.ndarray:
+    """Contexts as a nonempty (K, d) float array."""
+    contexts = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
+    if contexts.shape[0] == 0:
+        raise ValueError("need at least one context to select from")
+    return contexts
+
+
+def _ucb_choice(means, feats, design, gamma):
+    """Argmax of means + gamma * sqrt(f^T Z^{-1} f) over the feature rows f."""
+    bonus = np.array([math.sqrt(max(design.quadratic_form(f), 0.0)) for f in feats])
+    scores = means + gamma * bonus
+    return int(np.argmax(scores)), scores
+
+
+def _epsilon_choice(scores, epsilon, rng):
+    """Argmax of scores, or with probability epsilon a uniform arm.
+
+    epsilon = 0 draws nothing from rng.
+    """
+    if epsilon > 0.0 and rng.random() < epsilon:
+        return int(rng.integers(scores.shape[0])), scores
+    return int(np.argmax(scores)), scores
 
 
 class _TrainedNetwork:
@@ -190,10 +193,9 @@ class _TrainedNetwork:
         j = t if cfg.j_steps is None else cfg.j_steps
         x = np.stack([c for c, _ in self.history])
         r = np.array([rw for _, rw in self.history])
-        start = self.theta if cfg.warm_start else None
         self.theta, self.last_losses = train_nn(
             self.lam, cfg.eta, j, x, r, self.theta0,
-            batch_size=cfg.batch_size, rng=self.rng, start=start,
+            batch_size=cfg.batch_size, rng=self.rng,
         )
 
 
@@ -216,16 +218,9 @@ class NeuralUCB(_TrainedNetwork):
         return gradient_batch(self.theta, contexts) / math.sqrt(self.shape.width)
 
     def select(self, contexts):
-        contexts = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
-        if contexts.shape[0] == 0:
-            raise ValueError("need at least one context to select from")
+        contexts = _check_contexts(contexts)
         means = forward_batch(self.theta, contexts)
-        feats = self._scaled_gradients(contexts)
-        bonus = np.array([
-            math.sqrt(max(self.design.quadratic_form(f), 0.0)) for f in feats
-        ])
-        scores = means + self.gamma * bonus
-        return int(np.argmax(scores)), scores
+        return _ucb_choice(means, self._scaled_gradients(contexts), self.design, self.gamma)
 
     def update(self, context, reward) -> None:
         feat = self._scaled_gradients(np.atleast_2d(context))[0]
@@ -248,13 +243,8 @@ class NeuralEpsilonGreedy(_TrainedNetwork):
         self.epsilon = epsilon
 
     def select(self, contexts):
-        contexts = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
-        if contexts.shape[0] == 0:
-            raise ValueError("need at least one context to select from")
-        scores = forward_batch(self.theta, contexts)
-        if self.epsilon > 0.0 and self.rng.random() < self.epsilon:
-            return int(self.rng.integers(contexts.shape[0])), scores
-        return int(np.argmax(scores)), scores
+        scores = forward_batch(self.theta, _check_contexts(contexts))
+        return _epsilon_choice(scores, self.epsilon, self.rng)
 
     def update(self, context, reward) -> None:
         self._record_and_train(context, reward)
@@ -283,10 +273,7 @@ class _FrozenFeatureRidge:
         self.t = 0
 
     def _features(self, contexts) -> np.ndarray:
-        contexts = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
-        if contexts.shape[0] == 0:
-            raise ValueError("need at least one context to select from")
-        return self.feature_map(contexts)
+        return self.feature_map(_check_contexts(contexts))
 
     def _absorb(self, context, reward) -> None:
         phi = self._features(context)[0]
@@ -314,12 +301,7 @@ class NeuralUCB0(_FrozenFeatureRidge):
 
     def select(self, contexts):
         phi = self._features(contexts)
-        means = phi @ self.theta_offset
-        bonus = np.array([
-            math.sqrt(max(self.design.quadratic_form(f), 0.0)) for f in phi
-        ])
-        scores = means + self.gamma * bonus
-        return int(np.argmax(scores)), scores
+        return _ucb_choice(phi @ self.theta_offset, phi, self.design, self.gamma)
 
     def update(self, context, reward) -> None:
         self._absorb(context, reward)
@@ -337,14 +319,11 @@ class NeuralEpsilonGreedy0(_FrozenFeatureRidge):
                          feature_dim=feature_dim, design_mode=design_mode,
                          refresh_every=refresh_every)
         self.epsilon = epsilon
-        self.explore_rng = rng
+        self.rng = rng
 
     def select(self, contexts):
-        phi = self._features(contexts)
-        scores = phi @ self.theta_offset
-        if self.epsilon > 0.0 and self.explore_rng.random() < self.epsilon:
-            return int(self.explore_rng.integers(phi.shape[0])), scores
-        return int(np.argmax(scores)), scores
+        return _epsilon_choice(self._features(contexts) @ self.theta_offset,
+                               self.epsilon, self.rng)
 
     def update(self, context, reward) -> None:
         self._absorb(context, reward)
@@ -367,9 +346,7 @@ class LinUCB:
         self.t = 0
 
     def select(self, contexts):
-        contexts = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
-        if contexts.shape[0] == 0:
-            raise ValueError("need at least one context to select from")
+        contexts = _check_contexts(contexts)
         if contexts.shape[1] != self.dim:
             raise ValueError(f"contexts have dim {contexts.shape[1]}, expected {self.dim}")
         factor = cho_factor(self.a_mat)
@@ -420,9 +397,7 @@ class KernelUCB:
             return np.exp(-np.maximum(sq, 0.0) / (2.0 * self.bandwidth**2))
 
     def select(self, contexts):
-        contexts = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
-        if contexts.shape[0] == 0:
-            raise ValueError("need at least one context to select from")
+        contexts = _check_contexts(contexts)
         if self._x is None:
             scores = np.full(contexts.shape[0], self.beta)
             return int(np.argmax(scores)), scores
@@ -467,10 +442,7 @@ class UniformRandomPolicy:
         self.t = 0
 
     def select(self, contexts):
-        contexts = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
-        k = contexts.shape[0]
-        if k == 0:
-            raise ValueError("need at least one context to select from")
+        k = _check_contexts(contexts).shape[0]
         return int(self.rng.integers(k)), np.zeros(k)
 
     def update(self, context, reward) -> None:

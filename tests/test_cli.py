@@ -69,6 +69,22 @@ class TestRun:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         assert field_name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("csv_text", [
+        pytest.param("a,b,label\n1,2,x\nabc,4,y\n", id="non-numeric-cell"),
+        pytest.param("a,b,class\n1,2,x\n3,4,y\n", id="missing-label-column"),
+    ])
+    def test_dataset_load_error_exits_one_naming_path(self, tmp_path, capsys, csv_text):
+        dataset = tmp_path / "data.csv"
+        dataset.write_text(csv_text, encoding="utf-8")
+        config = write_config(
+            tmp_path,
+            environment={"kind": "dataset", "dataset_path": str(dataset),
+                         "label_column": "label", "horizon": 2},
+            policy={"algorithm": "random"},
+        )
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert "environment.dataset_path" in capsys.readouterr().err
+
     def test_missing_output_location_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path)
         assert main(["run", "--config", str(config)]) == 1

@@ -87,6 +87,7 @@ class TestRunExperiment:
             environment=EnvironmentConfig(kind="h1", horizon=0, noise_scale=-1.0),
             policy=PolicyConfig(algorithm="neural_ucb", width=7),
             repetitions=0,
+            base_seed=-1,
         )
         with pytest.raises(ConfigError) as exc_info:
             run_experiment(config)
@@ -95,6 +96,7 @@ class TestRunExperiment:
         assert "environment.noise_scale" in text
         assert "policy.width" in text
         assert "repetitions" in text
+        assert "base_seed: must be a non-negative integer" in text
 
     def test_dataset_horizon_longer_than_rows_rejected(self, tmp_path):
         path = tmp_path / "tiny.csv"

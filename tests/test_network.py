@@ -207,6 +207,18 @@ def away_from_kinks(params, x, margin=1e-3) -> bool:
     return True
 
 
+# depth 2 has no middle layer; d and m must be even
+GRADIENT_CASES = dict(depth=st.integers(2, 4), half_d=st.integers(1, 4), half_m=st.integers(1, 6),
+                      n=st.integers(1, 9), seed=st.integers(0, 2**31 - 1))
+
+
+def random_case(depth, half_d, half_m, n, seed):
+    """A plain-initialized network, n contexts for it and the generator that drew them."""
+    shape = NetworkShape(2 * half_d, 2 * half_m, depth)
+    rng = np.random.default_rng(seed)
+    return init_plain(shape, rng), rng.standard_normal((n, shape.input_dim)), rng
+
+
 class TestGradient:
     def test_output_layer_block_hand_value(self):
         _, params = tiny_params()
@@ -240,21 +252,20 @@ class TestGradient:
             assert rel.max() <= 1e-4
             checked += 1
 
-    def test_batch_matches_single(self):
-        shape = NetworkShape(4, 6, 3)
-        rng = np.random.default_rng(14)
-        params = init_plain(shape, rng)
-        xs = rng.standard_normal((4, 4))
+    @given(**GRADIENT_CASES)
+    @settings(max_examples=60, deadline=None)
+    def test_batch_matches_single(self, **case):
+        params, xs, _ = random_case(**case)
         batch = gradient_batch(params, xs)
+        assert batch.shape == (xs.shape[0], params.shape.num_params)
         for row, x in zip(batch, xs):
             assert np.allclose(row, gradient(params, x), atol=0)
 
-    def test_weighted_sum_matches_explicit_combination(self):
-        shape = NetworkShape(4, 6, 3)
-        rng = np.random.default_rng(15)
-        params = init_plain(shape, rng)
-        xs = rng.standard_normal((7, 4))
-        w = rng.standard_normal(7)
+    @given(**GRADIENT_CASES)
+    @settings(max_examples=60, deadline=None)
+    def test_weighted_sum_matches_explicit_combination(self, **case):
+        params, xs, rng = random_case(**case)
+        w = rng.standard_normal(xs.shape[0])
         expected = w @ gradient_batch(params, xs)
         assert np.allclose(gradient_weighted_sum(params, xs, w), expected, atol=1e-12)
 

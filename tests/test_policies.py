@@ -1,6 +1,7 @@
 """Tests for the bandit policies and the network training loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,11 +37,11 @@ FAST_TRAIN = TrainingConfig(eta=1e-3, j_steps=5, batch_size=None, cadence=10)
 
 
 class TestTrainNN:
-    def shape_and_data(self):
+    def shape_and_data(self, n=8):
         shape = NetworkShape(4, 16, 2)
         theta0 = init_symmetric(shape, np.random.default_rng(50))
-        x = duplicated_contexts(8, 2, 51)
-        r = np.random.default_rng(52).standard_normal(8)
+        x = duplicated_contexts(n, 2, 51)
+        r = np.random.default_rng(52).standard_normal(n)
         return shape, theta0, x, r
 
     def test_zero_steps_returns_start_exactly(self):
@@ -80,10 +81,19 @@ class TestTrainNN:
             pytest.fail("no monotone trajectory within 10 halvings")
         assert losses[-1] < losses[0]
 
-    def test_divergent_step_raises_with_context(self):
-        _, theta0, x, r = self.shape_and_data()
-        with pytest.raises(DivergenceError, match="eta=1000"):
-            train_nn(1.0, 1000.0, 200, x, r, theta0)
+    @pytest.mark.parametrize("n,batch_size,step", [
+        pytest.param(8, None, 4, id="full-gradient"),
+        # 50 steps per epoch: the overflow happens mid-epoch, and the
+        # epoch-end loss is the first to see it
+        pytest.param(200, 4, 50, id="minibatch-mid-epoch"),
+    ])
+    def test_divergent_step_raises_with_context(self, n, batch_size, step):
+        _, theta0, x, r = self.shape_and_data(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError, match=f"at step {step} \\(eta=1000"):
+                train_nn(1.0, 1000.0, 200, x, r, theta0, batch_size=batch_size,
+                         rng=np.random.default_rng(53))
 
     def test_minibatch_runs_and_tracks_epoch_losses(self):
         _, theta0, x, r = self.shape_and_data()
@@ -103,12 +113,6 @@ class TestTrainNN:
         with pytest.raises(ValueError, match="nonempty"):
             train_nn(1.0, 1e-3, 5, np.zeros((0, 4)), np.zeros(0), theta0)
 
-    def test_warm_start_continues_from_given_parameters(self):
-        shape, theta0, x, r = self.shape_and_data()
-        mid, _ = train_nn(1.0, 1e-3, 20, x, r, theta0)
-        cont, losses = train_nn(1.0, 1e-3, 0, x, r, theta0, start=mid)
-        assert cont is mid
-        assert losses.shape == (1,)
 
 
 class TestNeuralUCB:
