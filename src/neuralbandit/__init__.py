@@ -32,7 +32,6 @@ from neuralbandit.confidence import (
     GammaInputs,
     gamma_theoretical,
     ConstantWidth,
-    TheoreticalWidth,
     RidgeWidth,
 )
 from neuralbandit.policies import (
@@ -41,7 +40,6 @@ from neuralbandit.policies import (
     NeuralUCB0,
     NeuralEpsilonGreedy,
     NeuralEpsilonGreedy0,
-    LinUCB,
     KernelUCB,
     UniformRandomPolicy,
     OraclePolicy,
@@ -54,7 +52,6 @@ from neuralbandit.environments import (
     sample_unit_ball,
     preprocess_context,
     preprocess_batch,
-    dataset_to_bandit,
     load_csv,
 )
 from neuralbandit.harness import (

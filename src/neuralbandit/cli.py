@@ -108,9 +108,11 @@ def _cmd_grid(args) -> int:
     best_config, table = grid_search(config, grid)
     out = args.out or config.output
     print(f"evaluated {len(table)} combinations")
-    best = min(table, key=lambda e: e.mean_final_regret)
     for entry in table:
-        marker = "  <-- best" if entry is best else ""
+        if entry.error is not None:
+            print(f"{entry.overrides}: diverged: {entry.error}")
+            continue
+        marker = "  <-- best" if entry.best else ""
         print(f"{entry.overrides}: mean={entry.mean_final_regret:.6g} "
               f"std={entry.std_final_regret:.6g}{marker}")
     if out is not None:

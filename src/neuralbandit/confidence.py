@@ -10,7 +10,7 @@ sum of per-coordinate log ratios.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "GammaInputs",
     "gamma_theoretical",
     "ConstantWidth",
-    "TheoreticalWidth",
     "RidgeWidth",
 ]
 
@@ -137,7 +136,6 @@ class GammaInputs:
     lam: float
     width: int
     depth: int
-    t: int
     eta: float
     j_steps: float
     c1: float = 1.0
@@ -153,8 +151,8 @@ class GammaInputs:
             raise ValueError(f"s_norm must be positive, got {self.s_norm}")
         if self.lam <= 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.width < 1 or self.depth < 2 or self.t < 0:
-            raise ValueError("width >= 1, depth >= 2 and t >= 0 required")
+        if self.width < 1 or self.depth < 2:
+            raise ValueError("width >= 1 and depth >= 2 required")
         if self.eta <= 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
         if self.j_steps < 0:
@@ -169,7 +167,7 @@ class GammaInputs:
             )
 
 
-def gamma_theoretical(inputs: GammaInputs, logdet: float) -> float:
+def gamma_theoretical(inputs: GammaInputs, t: int, logdet: float) -> float:
     """Evaluate the full exploration-width formula at round t.
 
     gamma = sqrt(1 + c1 * w) * (nu * sqrt(logdet + c2 * w' - 2 log delta)
@@ -179,12 +177,15 @@ def gamma_theoretical(inputs: GammaInputs, logdet: float) -> float:
     where w, w' and approx are width-dependent correction terms that all
     carry a factor m^{-1/6} sqrt(log m) and vanish as the width grows, and
     decay = (1 - eta*m*lam)^{J/2} sqrt(t/lam) is the optimization error of
-    J gradient steps (zero under the J = inf sentinel).
+    J gradient steps (zero under the J = inf sentinel).  With the inputs
+    bound, functools.partial(gamma_theoretical, inputs) is a width provider.
     """
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
     if logdet < 0:
         raise ValueError(f"logdet must be nonnegative, got {logdet}")
     nu, delta, s, lam = inputs.nu, inputs.delta, inputs.s_norm, inputs.lam
-    m, L, t, eta, j = inputs.width, inputs.depth, inputs.t, inputs.eta, inputs.j_steps
+    m, L, eta, j = inputs.width, inputs.depth, inputs.eta, inputs.j_steps
     mfac = m ** (-1.0 / 6.0) * math.sqrt(math.log(m)) if m > 1 else 0.0
     front = math.sqrt(1.0 + inputs.c1 * mfac * L**4 * t ** (7.0 / 6.0) * lam ** (-7.0 / 6.0))
     inner = logdet + inputs.c2 * mfac * L**4 * t ** (5.0 / 3.0) * lam ** (-1.0 / 6.0) \
@@ -213,16 +214,6 @@ class ConstantWidth:
 
     def __call__(self, t: int, logdet: float) -> float:
         return self.gamma
-
-
-class TheoreticalWidth:
-    """Width provider evaluating the full formula with the round index filled in."""
-
-    def __init__(self, inputs: GammaInputs):
-        self.inputs = inputs
-
-    def __call__(self, t: int, logdet: float) -> float:
-        return gamma_theoretical(replace(self.inputs, t=t), logdet)
 
 
 class RidgeWidth:

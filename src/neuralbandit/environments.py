@@ -21,7 +21,6 @@ __all__ = [
     "preprocess_batch",
     "SyntheticBandit",
     "DatasetBandit",
-    "dataset_to_bandit",
     "load_csv",
 ]
 
@@ -200,12 +199,6 @@ class DatasetBandit:
 
     def noisy_reward(self, mean: float) -> float:
         return float(mean)
-
-
-def dataset_to_bandit(rows, num_classes: int, rng=None, shuffle: bool = True) -> DatasetBandit:
-    """Build a DatasetBandit from (features, labels) rows."""
-    features, labels = rows
-    return DatasetBandit(features, labels, num_classes, rng=rng, shuffle=shuffle)
 
 
 @dataclass

@@ -11,6 +11,7 @@ uses, so their checks are the only copy of the policy rules.
 """
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -25,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from neuralbandit import environments, policies
-from neuralbandit.confidence import ConstantWidth, GammaInputs, RidgeWidth, TheoreticalWidth
+from neuralbandit.confidence import ConstantWidth, GammaInputs, RidgeWidth, gamma_theoretical
 from neuralbandit.network import NetworkShape
 
 __all__ = [
@@ -47,6 +48,15 @@ GRID_CAP_DEFAULT = 256
 
 NEURAL_ALGORITHMS = ("neural_ucb", "neural_greedy", "neural_ucb0", "neural_greedy0")
 ALGORITHMS = NEURAL_ALGORITHMS + ("lin_ucb", "kernel_ucb", "random")
+
+
+def _count_errors(name, value, low) -> list:
+    """The error for a field that must be an integer >= low (bools are not counts)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        return [f"{name}: must be an integer, got {value!r}"]
+    if value < low:
+        return [f"{name}: must be >= {low}, got {value}"]
+    return []
 
 
 class ConfigError(ValueError):
@@ -74,8 +84,7 @@ class EnvironmentConfig:
         kinds = environments.SYNTHETIC_KINDS + ("dataset",)
         if self.kind not in kinds:
             errors.append(f"environment.kind: unknown kind {self.kind!r}, choose from {kinds}")
-        if self.horizon < 1:
-            errors.append(f"environment.horizon: must be >= 1, got {self.horizon}")
+        errors += _count_errors("environment.horizon", self.horizon, 1)
         if self.noise_scale < 0:
             errors.append(f"environment.noise_scale: must be >= 0, got {self.noise_scale}")
         if self.kind == "dataset":
@@ -86,10 +95,8 @@ class EnvironmentConfig:
             if not self.label_column:
                 errors.append("environment.label_column: required for dataset environments")
         else:
-            if self.dimension < 1:
-                errors.append(f"environment.dimension: must be >= 1, got {self.dimension}")
-            if self.num_actions < 1:
-                errors.append(f"environment.num_actions: must be >= 1, got {self.num_actions}")
+            errors += _count_errors("environment.dimension", self.dimension, 1)
+            errors += _count_errors("environment.num_actions", self.num_actions, 1)
         return errors
 
 
@@ -138,8 +145,7 @@ class ExperimentConfig:
 
     def validate(self) -> list:
         errors = self.environment.validate() + _policy_errors(self)
-        if self.repetitions < 1:
-            errors.append(f"repetitions: must be >= 1, got {self.repetitions}")
+        errors += _count_errors("repetitions", self.repetitions, 1)
         if not isinstance(self.base_seed, int) or self.base_seed < 0:
             errors.append(f"base_seed: must be a non-negative integer, got {self.base_seed!r}")
         return errors
@@ -200,7 +206,6 @@ def _gamma_inputs_from_dict(policy: PolicyConfig, data: dict) -> GammaInputs:
             lam=data.pop("lam", policy.lam),
             width=data.pop("width", policy.width),
             depth=data.pop("depth", policy.depth),
-            t=0,
             eta=data.pop("eta", policy.eta),
             j_steps=j,
             c1=data.pop("c1", 1.0),
@@ -262,15 +267,20 @@ def _build_policy(cfg: PolicyConfig, env, rng):
     if algo == "random":
         return policies.UniformRandomPolicy(rng)
     if algo == "lin_ucb":
+        try:
+            width = ConstantWidth(cfg.alpha)
+        except ValueError as exc:
+            raise ValueError(f"alpha: {exc}") from None
         dim = 2 * raw_dim if cfg.resolved_preprocess() else raw_dim
-        return policies.LinUCB(dim, cfg.alpha, lam=cfg.lam)
+        return policies.NeuralUCB0(lambda x: x, dim, cfg.lam, width)
     if algo == "kernel_ucb":
         return policies.KernelUCB(cfg.kernel_bandwidth, cfg.kernel_beta,
                                   lam=cfg.lam, cap=cfg.kernel_cap)
     shape = _network_shape(cfg, raw_dim)
     if algo == "neural_ucb":
         if cfg.gamma_inputs is not None:
-            width = TheoreticalWidth(_gamma_inputs_from_dict(cfg, cfg.gamma_inputs))
+            width = functools.partial(gamma_theoretical,
+                                      _gamma_inputs_from_dict(cfg, cfg.gamma_inputs))
         else:
             width = ConstantWidth(cfg.gamma)
         train = _training_config(cfg)
@@ -282,11 +292,12 @@ def _build_policy(cfg: PolicyConfig, env, rng):
         return policies.NeuralEpsilonGreedy(shape, cfg.lam, cfg.epsilon, rng, train=train)
     if algo == "neural_ucb0":
         width = RidgeWidth(cfg.nu, cfg.delta, cfg.s_norm, cfg.lam)
-        return policies.NeuralUCB0(cfg.lam, width, rng=rng, shape=shape,
+        return policies.NeuralUCB0(*policies.gradient_feature_map(shape, rng), cfg.lam, width,
                                    design_mode=cfg.design_mode,
                                    refresh_every=cfg.refresh_every)
     if algo == "neural_greedy0":
-        return policies.NeuralEpsilonGreedy0(cfg.lam, cfg.epsilon, rng, shape=shape,
+        return policies.NeuralEpsilonGreedy0(*policies.gradient_feature_map(shape, rng),
+                                             cfg.lam, cfg.epsilon, rng,
                                              design_mode=cfg.design_mode,
                                              refresh_every=cfg.refresh_every)
     raise ConfigError([f"policy.algorithm: unknown algorithm {algo!r}"])
@@ -317,7 +328,8 @@ def _policy_errors(config: ExperimentConfig) -> list:
         return [f"policy.algorithm: unknown algorithm {policy.algorithm!r}, choose from {ALGORITHMS}"]
     # a dataset's dimension is known only once its file is read, and a bad
     # synthetic one is an environment error; 2 passes every dimension check
-    raw_dim = env.dimension if env.kind != "dataset" and env.dimension >= 1 else 2
+    usable = env.kind != "dataset" and not _count_errors("", env.dimension, 1)
+    raw_dim = env.dimension if usable else 2
     try:
         _build_policy(policy, SimpleNamespace(d=raw_dim), np.random.default_rng(0))
     except (TypeError, ValueError) as exc:
@@ -405,9 +417,13 @@ def run_experiment(config: ExperimentConfig, policy_factory=None) -> list:
 
 @dataclass
 class GridEntry:
+    """One grid combination; a diverged one has nan statistics and its error."""
+
     overrides: dict
     mean_final_regret: float
     std_final_regret: float
+    error: str | None = None
+    best: bool = False
 
 
 def _apply_override(config: ExperimentConfig, path: str, value) -> ExperimentConfig:
@@ -429,7 +445,9 @@ def grid_search(config: ExperimentConfig, grid: dict, cap: int = GRID_CAP_DEFAUL
 
     Returns (best_config, table).  Best is the combination with the lowest
     mean final cumulative regret; ties go to the earliest combination in
-    declared order.
+    declared order.  A combination whose training diverges is kept in the
+    table with nan statistics and does not stop the others; if every one
+    diverges, the first divergence is raised.
     """
     if not grid:
         raise ConfigError(["grid: must contain at least one parameter"])
@@ -443,21 +461,26 @@ def grid_search(config: ExperimentConfig, grid: dict, cap: int = GRID_CAP_DEFAUL
     table = []
     best = None
     best_config = None
+    first_error = None
     for combo in itertools.product(*(grid[p] for p in paths)):
         cfg = config
         for path, value in zip(paths, combo):
             cfg = _apply_override(cfg, path, value)
-        results = run_experiment(cfg)
-        finals = np.array([r.final_regret for r in results])
-        entry = GridEntry(
-            overrides=dict(zip(paths, combo)),
-            mean_final_regret=float(finals.mean()),
-            std_final_regret=float(finals.std()),
-        )
+        overrides = dict(zip(paths, combo))
+        try:
+            finals = np.array([r.final_regret for r in run_experiment(cfg)])
+            entry = GridEntry(overrides, float(finals.mean()), float(finals.std()))
+        except policies.DivergenceError as exc:
+            first_error = first_error or exc
+            entry = GridEntry(overrides, math.nan, math.nan, error=str(exc))
         table.append(entry)
-        if best is None or entry.mean_final_regret < best:
-            best = entry.mean_final_regret
+        # a nan or infinite mean never compares below the bar
+        if entry.mean_final_regret < (best.mean_final_regret if best else math.inf):
+            best = entry
             best_config = cfg
+    if best is None:
+        raise first_error
+    best.best = True
     return best_config, table
 
 
@@ -510,10 +533,11 @@ def emit_grid_table(table: list, best_config: ExperimentConfig, out_dir) -> list
     paths = list(table[0].overrides) if table else []
     table_path = out / "grid_table.csv"
     with open(table_path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(paths + ["mean_final_regret", "std_final_regret"]) + "\n")
+        fh.write(",".join(paths + ["mean_final_regret", "std_final_regret", "status"]) + "\n")
         for entry in table:
             cells = [str(entry.overrides[p]) for p in paths]
-            cells += [_fmt(entry.mean_final_regret), _fmt(entry.std_final_regret)]
+            cells += [_fmt(entry.mean_final_regret), _fmt(entry.std_final_regret),
+                      "ok" if entry.error is None else "diverged"]
             fh.write(",".join(cells) + "\n")
     best_path = out / "best_config.json"
     with open(best_path, "w", newline="\n", encoding="utf-8") as fh:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from neuralbandit.confidence import DesignMatrix
 from neuralbandit.network import (
@@ -36,7 +36,7 @@ __all__ = [
     "NeuralEpsilonGreedy",
     "NeuralUCB0",
     "NeuralEpsilonGreedy0",
-    "LinUCB",
+    "gradient_feature_map",
     "KernelUCB",
     "UniformRandomPolicy",
     "OraclePolicy",
@@ -250,21 +250,22 @@ class NeuralEpsilonGreedy(_TrainedNetwork):
         self._record_and_train(context, reward)
 
 
+def gradient_feature_map(shape: NetworkShape, rng: np.random.Generator):
+    """The frozen map x -> g(x; theta0) / sqrt(m) at a plain init, and its dimension.
+
+    Draws theta0 from rng, so it consumes the generator before any policy
+    that shares it.
+    """
+    theta0 = init_plain(shape, rng)
+    scale = math.sqrt(shape.width)
+    return (lambda x: gradient_batch(theta0, x) / scale), shape.num_params
+
+
 class _FrozenFeatureRidge:
     """Online ridge regression on a frozen feature map phi."""
 
-    def __init__(self, lam, rng=None, shape=None, feature_map=None, feature_dim=None,
-                 design_mode="full", refresh_every=512):
-        if feature_map is None:
-            if shape is None or rng is None:
-                raise ValueError("need shape and rng unless a feature_map is injected")
-            theta0 = init_plain(shape, rng)
-            scale = math.sqrt(shape.width)
-            feature_map = lambda x: gradient_batch(theta0, x) / scale
-            feature_dim = shape.num_params
-            self.theta0 = theta0
-        elif feature_dim is None:
-            raise ValueError("feature_dim is required with an injected feature_map")
+    def __init__(self, feature_map, feature_dim, lam, design_mode="full",
+                 refresh_every=512):
         self.feature_map = feature_map
         self.lam = lam
         self.design = DesignMatrix(feature_dim, lam, design_mode, refresh_every)
@@ -284,18 +285,18 @@ class _FrozenFeatureRidge:
 
 
 class NeuralUCB0(_FrozenFeatureRidge):
-    """Linear UCB in the gradient-feature space of the initial network.
+    """Linear UCB in a frozen feature space.
 
     The parameter estimate is the closed-form ridge solution; scores are
     phi^T (theta - theta0) + gamma * sqrt(phi^T Z^{-1} phi), which is the
-    maximum of the linear objective over the confidence ellipsoid.
+    maximum of the linear objective over the confidence ellipsoid.  With
+    gradient_feature_map this is the linearized NeuralUCB; with the identity
+    map and a constant width it is LinUCB.
     """
 
-    def __init__(self, lam, width, rng=None, shape=None, feature_map=None,
-                 feature_dim=None, design_mode="full", refresh_every=512):
-        super().__init__(lam, rng=rng, shape=shape, feature_map=feature_map,
-                         feature_dim=feature_dim, design_mode=design_mode,
-                         refresh_every=refresh_every)
+    def __init__(self, feature_map, feature_dim, lam, width, design_mode="full",
+                 refresh_every=512):
+        super().__init__(feature_map, feature_dim, lam, design_mode, refresh_every)
         self.width_provider = width
         self.gamma = width(0, 0.0)
 
@@ -311,13 +312,11 @@ class NeuralUCB0(_FrozenFeatureRidge):
 class NeuralEpsilonGreedy0(_FrozenFeatureRidge):
     """Epsilon-greedy on the frozen-feature ridge predictions."""
 
-    def __init__(self, lam, epsilon, rng, shape=None, feature_map=None,
-                 feature_dim=None, design_mode="full", refresh_every=512):
+    def __init__(self, feature_map, feature_dim, lam, epsilon, rng, design_mode="full",
+                 refresh_every=512):
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-        super().__init__(lam, rng=rng, shape=shape, feature_map=feature_map,
-                         feature_dim=feature_dim, design_mode=design_mode,
-                         refresh_every=refresh_every)
+        super().__init__(feature_map, feature_dim, lam, design_mode, refresh_every)
         self.epsilon = epsilon
         self.rng = rng
 
@@ -327,40 +326,6 @@ class NeuralEpsilonGreedy0(_FrozenFeatureRidge):
 
     def update(self, context, reward) -> None:
         self._absorb(context, reward)
-
-
-class LinUCB:
-    """Ridge regression UCB on raw contexts with a constant exploration alpha."""
-
-    def __init__(self, dim: int, alpha: float, lam: float = 1.0):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        if alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {alpha}")
-        if lam <= 0:
-            raise ValueError(f"lam must be positive, got {lam}")
-        self.dim = dim
-        self.alpha = alpha
-        self.a_mat = lam * np.eye(dim)
-        self.b = np.zeros(dim)
-        self.t = 0
-
-    def select(self, contexts):
-        contexts = _check_contexts(contexts)
-        if contexts.shape[1] != self.dim:
-            raise ValueError(f"contexts have dim {contexts.shape[1]}, expected {self.dim}")
-        factor = cho_factor(self.a_mat)
-        theta_hat = cho_solve(factor, self.b)
-        solved = cho_solve(factor, contexts.T)
-        qforms = np.einsum("ij,ji->i", contexts, solved)
-        scores = contexts @ theta_hat + self.alpha * np.sqrt(np.maximum(qforms, 0.0))
-        return int(np.argmax(scores)), scores
-
-    def update(self, context, reward) -> None:
-        x = np.asarray(context, dtype=np.float64)
-        self.a_mat += np.outer(x, x)
-        self.b += reward * x
-        self.t += 1
 
 
 class KernelUCB:

@@ -35,8 +35,8 @@ from neuralbandit.network import (
 from neuralbandit.ntk import empirical_gram, ntk_gram, effective_dimension
 from neuralbandit.policies import (
     DivergenceError,
-    LinUCB,
     NeuralUCB0,
+    gradient_feature_map,
     train_nn,
 )
 
@@ -215,8 +215,8 @@ def test_criterion_05_design_matrix_integrity():
 def test_criterion_06_frozen_feature_ridge_equivalence():
     with Budget(60.0) as budget:
         shape = NetworkShape(4, 8, 2)  # p = 40 <= 100
-        policy = NeuralUCB0(0.7, RidgeWidth(1.0, 0.1, 1.0, 0.7),
-                            rng=np.random.default_rng(1006), shape=shape)
+        policy = NeuralUCB0(*gradient_feature_map(shape, np.random.default_rng(1006)), 0.7,
+                            RidgeWidth(1.0, 0.1, 1.0, 0.7))
         rng = np.random.default_rng(1007)
         feats, rewards = [], []
         worst = 0.0
@@ -233,23 +233,28 @@ def test_criterion_06_frozen_feature_ridge_equivalence():
             worst = max(worst, float(np.max(np.abs(batch - policy.theta_offset))))
         assert worst <= 1e-8
 
-        # identity feature map co-simulates LinUCB action for action
-        d, k = 6, 5
+        # identity feature map co-simulates LinUCB, recomputed from scratch
+        # each round, action for action
+        d, k, alpha, lam = 6, 5, 0.8, 1.3
         ident = lambda x: np.asarray(x, dtype=np.float64)
-        frozen = NeuralUCB0(1.3, ConstantWidth(0.8), feature_map=ident, feature_dim=d)
-        linear = LinUCB(d, 0.8, lam=1.3)
+        frozen = NeuralUCB0(ident, d, lam, ConstantWidth(alpha))
         sim_rng = np.random.default_rng(1008)
         secret = sim_rng.standard_normal(d)
+        seen, sim_rewards = np.zeros((0, d)), []
         matched = 0
         for _ in range(150):
             contexts = sim_rng.standard_normal((k, d))
             af, _ = frozen.select(contexts)
-            al, _ = linear.select(contexts)
+            a_mat = lam * np.eye(d) + seen.T @ seen
+            theta = np.linalg.solve(a_mat, seen.T @ np.asarray(sim_rewards))
+            qforms = np.einsum("ij,ji->i", contexts, np.linalg.solve(a_mat, contexts.T))
+            al = int(np.argmax(contexts @ theta + alpha * np.sqrt(np.maximum(qforms, 0.0))))
             assert af == al
             matched += 1
             reward = float(contexts[af] @ secret + 0.1 * sim_rng.standard_normal())
             frozen.update(contexts[af], reward)
-            linear.update(contexts[al], reward)
+            seen = np.vstack([seen, contexts[af]])
+            sim_rewards.append(reward)
     report(6, f"online ridge equals batch recomputation for 200 rounds "
               f"(max gap {worst:.1e}); identity-feature variant matched "
               f"LinUCB on {matched}/150 actions", budget)

@@ -52,19 +52,24 @@ class TestRun:
         for name in ("rounds.csv", "summary.csv", "config.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    @pytest.mark.parametrize("environment,policy,field_name", [
-        pytest.param({"horizon": 0}, {}, "environment.horizon", id="horizon"),
-        pytest.param({"dimension": 5}, {"preprocess": False}, "policy.preprocess",
+    @pytest.mark.parametrize("environment,policy,top,field_name", [
+        pytest.param({"horizon": 0}, {}, {}, "environment.horizon", id="horizon"),
+        pytest.param({"dimension": 5}, {"preprocess": False}, {}, "policy.preprocess",
                      id="odd-dimension-unpreprocessed"),
-        pytest.param({}, {"gamma_inputs": {"eta": 1.0}}, "policy.gamma_inputs",
+        pytest.param({}, {"gamma_inputs": {"eta": 1.0}}, {}, "policy.gamma_inputs",
                      id="gamma-inputs-step-too-large"),
-        pytest.param({}, {"refresh_every": 0}, "policy.refresh_every", id="refresh-every"),
+        pytest.param({}, {"refresh_every": 0}, {}, "policy.refresh_every", id="refresh-every"),
+        pytest.param({}, {}, {"repetitions": "2"}, "repetitions", id="string-repetitions"),
+        pytest.param({"horizon": 5.5}, {}, {}, "environment.horizon", id="fractional-horizon"),
+        pytest.param({"num_actions": 2.5}, {}, {}, "environment.num_actions",
+                     id="fractional-num-actions"),
     ])
     def test_invalid_config_exits_one_naming_field(self, tmp_path, capsys,
-                                                   environment, policy, field_name):
+                                                   environment, policy, top, field_name):
         data = json.loads(write_config(tmp_path).read_text())
         data["environment"].update(environment)
         data["policy"].update(policy)
+        data.update(top)
         config = write_config(tmp_path, **data)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         assert field_name in capsys.readouterr().err
@@ -111,6 +116,21 @@ class TestGrid:
         assert (out / "grid_table.csv").is_file()
         assert (out / "best_config.json").is_file()
         assert "best" in capsys.readouterr().out
+
+    def test_diverging_combination_is_reported_and_skipped(self, tmp_path, capsys):
+        config = write_config(tmp_path, repetitions=1)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"policy.eta": [0.001, 50.0]}), encoding="utf-8")
+        out = tmp_path / "grid_out"
+        assert main(["grid", "--config", str(config), "--grid", str(grid),
+                     "--out", str(out)]) == 0
+        header, *rows = (out / "grid_table.csv").read_text().strip().splitlines()
+        assert header == "policy.eta,mean_final_regret,std_final_regret,status"
+        assert len(rows) == 2
+        assert rows[0].endswith(",ok") and rows[1] == "50.0,nan,nan,diverged"
+        assert json.loads((out / "best_config.json").read_text())["policy"]["eta"] == 0.001
+        printed = capsys.readouterr().out
+        assert "diverged: training loss is non-finite" in printed
 
     def test_bad_grid_json_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -1,5 +1,6 @@
 """Tests for the design matrix and the exploration-width formulas."""
 
+import functools
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from neuralbandit.confidence import (
     DesignMatrix,
     GammaInputs,
     RidgeWidth,
-    TheoreticalWidth,
     gamma_theoretical,
 )
 
@@ -170,7 +170,7 @@ class TestInvariants:
 
 def base_inputs(**overrides):
     kwargs = dict(nu=1.0, delta=0.1, s_norm=1.0, lam=1.0, width=1024, depth=2,
-                  t=10, eta=1e-5, j_steps=100.0, c1=1.0, c2=1.0, c3=1.0)
+                  eta=1e-5, j_steps=100.0, c1=1.0, c2=1.0, c3=1.0)
     kwargs.update(overrides)
     return GammaInputs(**kwargs)
 
@@ -179,53 +179,53 @@ class TestGammaTheoretical:
     def test_reduces_to_ridge_width_when_width_terms_vanish(self):
         # m = 1 zeroes every m^{-1/6} sqrt(log m) correction, and the inf
         # sentinel removes the geometric decay: only the ridge width remains
-        inputs = base_inputs(width=1, t=50, eta=0.5, j_steps=math.inf)
+        inputs = base_inputs(width=1, eta=0.5, j_steps=math.inf)
         ridge = RidgeWidth(nu=1.0, delta=0.1, s_norm=1.0, lam=1.0)
         for logdet in (0.0, 1.0, 7.3):
-            assert gamma_theoretical(inputs, logdet) == pytest.approx(
+            assert gamma_theoretical(inputs, 50, logdet) == pytest.approx(
                 ridge(50, logdet), rel=1e-12)
 
     def test_reduces_at_round_zero_for_any_width(self):
-        inputs = base_inputs(t=0, c1=0.0, c2=0.0, c3=0.0, j_steps=math.inf)
-        assert gamma_theoretical(inputs, 0.0) == pytest.approx(
+        inputs = base_inputs(c1=0.0, c2=0.0, c3=0.0, j_steps=math.inf)
+        assert gamma_theoretical(inputs, 0, 0.0) == pytest.approx(
             1.0 * math.sqrt(-2 * math.log(0.1)) + 1.0)
 
     def test_zero_constant_large_width_limit_is_ridge_width(self):
-        inputs = base_inputs(width=10**60, t=10, eta=1e-70, j_steps=math.inf,
+        inputs = base_inputs(width=10**60, eta=1e-70, j_steps=math.inf,
                              c1=0.0, c2=0.0, c3=0.0)
         ridge = RidgeWidth(nu=1.0, delta=0.1, s_norm=1.0, lam=1.0)
-        assert gamma_theoretical(inputs, 2.0) == pytest.approx(ridge(10, 2.0), abs=1e-4)
+        assert gamma_theoretical(inputs, 10, 2.0) == pytest.approx(ridge(10, 2.0), abs=1e-4)
 
     def test_hand_value_reduced_formula(self):
         inputs = GammaInputs(nu=1.0, delta=math.exp(-2.0), s_norm=1.0, lam=1.0,
-                             width=1, depth=2, t=3, eta=0.5, j_steps=math.inf,
+                             width=1, depth=2, eta=0.5, j_steps=math.inf,
                              c1=0.0, c2=0.0, c3=0.0)
-        assert gamma_theoretical(inputs, 0.0) == pytest.approx(3.0)
+        assert gamma_theoretical(inputs, 3, 0.0) == pytest.approx(3.0)
 
     def test_monotone_in_logdet(self):
         inputs = base_inputs()
-        values = [gamma_theoretical(inputs, ld) for ld in (0.0, 0.5, 1.0, 5.0, 20.0)]
+        values = [gamma_theoretical(inputs, 10, ld) for ld in (0.0, 0.5, 1.0, 5.0, 20.0)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_negative_logdet_rejected(self):
         with pytest.raises(ValueError):
-            gamma_theoretical(base_inputs(), -0.1)
+            gamma_theoretical(base_inputs(), 10, -0.1)
 
     def test_oversized_step_rejected(self):
         with pytest.raises(ValueError, match="step size"):
-            gamma_theoretical(base_inputs(eta=1.0), 0.0)
+            gamma_theoretical(base_inputs(eta=1.0), 10, 0.0)
 
     def test_inconsistent_constants_rejected(self):
         # a delta this close to 1 makes -2 log delta ~ 0; a negative inner
         # argument can only come from bad inputs, which the formula refuses
         with pytest.raises(ValueError):
             GammaInputs(nu=1.0, delta=1.0, s_norm=1.0, lam=1.0, width=4, depth=2,
-                        t=1, eta=1e-5, j_steps=10.0)
+                        eta=1e-5, j_steps=10.0)
 
     def test_finite_j_decay_term_counts(self):
-        fast = gamma_theoretical(base_inputs(j_steps=0.0, t=4), 0.0)
-        slow = gamma_theoretical(base_inputs(j_steps=1000.0, t=4), 0.0)
-        limit = gamma_theoretical(base_inputs(j_steps=math.inf, t=4), 0.0)
+        fast = gamma_theoretical(base_inputs(j_steps=0.0), 4, 0.0)
+        slow = gamma_theoretical(base_inputs(j_steps=1000.0), 4, 0.0)
+        limit = gamma_theoretical(base_inputs(j_steps=math.inf), 4, 0.0)
         assert fast > slow > limit
 
     def test_input_validation(self):
@@ -237,6 +237,8 @@ class TestGammaTheoretical:
             base_inputs(lam=-1.0)
         with pytest.raises(ValueError):
             base_inputs(c1=-0.5)
+        with pytest.raises(ValueError, match="t must be"):
+            gamma_theoretical(base_inputs(), -1, 0.0)
 
 
 class TestWidthProviders:
@@ -252,9 +254,10 @@ class TestWidthProviders:
             ConstantWidth(-0.1)
 
     def test_theoretical_width_fills_in_round_index(self):
-        provider = TheoreticalWidth(base_inputs(t=0))
-        direct = gamma_theoretical(base_inputs(t=17), 1.0)
+        provider = functools.partial(gamma_theoretical, base_inputs())
+        direct = gamma_theoretical(base_inputs(), 17, 1.0)
         assert provider(17, 1.0) == pytest.approx(direct, rel=1e-12)
+        assert provider(0, 1.0) < provider(17, 1.0)
 
     def test_ridge_width_value(self):
         ridge = RidgeWidth(nu=2.0, delta=math.exp(-0.5), s_norm=3.0, lam=4.0)

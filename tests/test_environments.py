@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from neuralbandit.environments import (
     DatasetBandit,
     SyntheticBandit,
-    dataset_to_bandit,
     load_csv,
     preprocess_batch,
     preprocess_context,
@@ -203,12 +202,6 @@ class TestDatasetBandit:
         shuffled = DatasetBandit(features, labels, 2, rng=np.random.default_rng(4),
                                  shuffle=True)
         assert sorted(shuffled.order.tolist()) == sorted(plain.order.tolist())
-
-    def test_dataset_to_bandit_wrapper(self):
-        rows = (np.ones((4, 2)), np.array([0, 1, 0, 1]))
-        env = dataset_to_bandit(rows, 2, rng=np.random.default_rng(5))
-        assert env.num_actions == 2
-        assert env.rounds_available == 4
 
 
 class TestLoadCsv:

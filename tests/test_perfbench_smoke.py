@@ -1,0 +1,20 @@
+"""The benchmark's own smoke check, run as part of the test suite.
+
+perfbench/smoke.py drives every benchmark workload at a tiny horizon, traced
+and untraced, and fails if a layer the benchmark wraps by name (network
+functions, policy select/update, the DesignMatrix methods) stops being called.
+Running it here makes a refactor that renames or bypasses such a layer fail
+the tests rather than the benchmark.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_perfbench_smoke_passes():
+    proc = subprocess.run([sys.executable, "perfbench/smoke.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

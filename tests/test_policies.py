@@ -2,12 +2,14 @@
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from neuralbandit.confidence import ConstantWidth, RidgeWidth
 from neuralbandit.environments import preprocess_batch
+from neuralbandit.harness import PolicyConfig, _build_policy
 from neuralbandit.network import (
     NetworkShape,
     flatten,
@@ -17,13 +19,13 @@ from neuralbandit.network import (
 from neuralbandit.policies import (
     DivergenceError,
     KernelUCB,
-    LinUCB,
     NeuralEpsilonGreedy,
     NeuralEpsilonGreedy0,
     NeuralUCB,
     NeuralUCB0,
     TrainingConfig,
     UniformRandomPolicy,
+    gradient_feature_map,
     train_nn,
 )
 
@@ -34,6 +36,22 @@ def duplicated_contexts(n, d_half, seed):
 
 
 FAST_TRAIN = TrainingConfig(eta=1e-3, j_steps=5, batch_size=None, cadence=10)
+
+
+def lin_ucb(d, alpha, lam=1.0):
+    """The lin_ucb policy as the harness builds it on d-dimensional raw contexts."""
+    config = PolicyConfig(algorithm="lin_ucb", alpha=alpha, lam=lam)
+    return _build_policy(config, SimpleNamespace(d=d), np.random.default_rng(0))
+
+
+def batch_ridge_ucb(seen, rewards, contexts, alpha, lam):
+    """Ridge UCB recomputed from scratch: A = lam I + X^T X, b = X^T r, and the
+    argmax of x^T A^{-1} b + alpha * sqrt(x^T A^{-1} x) over the contexts."""
+    x = np.asarray(seen, dtype=np.float64).reshape(-1, contexts.shape[1])
+    a_mat = lam * np.eye(x.shape[1]) + x.T @ x
+    theta = np.linalg.solve(a_mat, x.T @ np.asarray(rewards, dtype=np.float64))
+    qforms = np.einsum("ij,ji->i", contexts, np.linalg.solve(a_mat, contexts.T))
+    return int(np.argmax(contexts @ theta + alpha * np.sqrt(np.maximum(qforms, 0.0))))
 
 
 class TestTrainNN:
@@ -257,8 +275,8 @@ class TestNeuralEpsilonGreedy:
 class TestNeuralUCB0:
     def test_fresh_scores_scale_with_feature_norm(self):
         shape = NetworkShape(8, 8, 2)
-        policy = NeuralUCB0(1.0, ConstantWidth(0.3), rng=np.random.default_rng(80),
-                            shape=shape)
+        policy = NeuralUCB0(*gradient_feature_map(shape, np.random.default_rng(80)), 1.0,
+                            ConstantWidth(0.3))
         contexts = duplicated_contexts(4, 4, 81)
         _, scores = policy.select(contexts)
         feats = policy.feature_map(contexts)
@@ -267,8 +285,8 @@ class TestNeuralUCB0:
 
     def test_online_solution_matches_batch_ridge(self):
         shape = NetworkShape(4, 8, 2)  # p = 40
-        policy = NeuralUCB0(0.7, RidgeWidth(1.0, 0.1, 1.0, 0.7),
-                            rng=np.random.default_rng(82), shape=shape)
+        policy = NeuralUCB0(*gradient_feature_map(shape, np.random.default_rng(82)), 0.7,
+                            RidgeWidth(1.0, 0.1, 1.0, 0.7))
         rng = np.random.default_rng(83)
         feats_seen, rewards = [], []
         for t in range(200):
@@ -292,8 +310,7 @@ class TestNeuralUCB0:
         p = 10
         ident = lambda x: np.asarray(x, dtype=np.float64)
         gamma = 0.01
-        policy = NeuralUCB0(1.0, ConstantWidth(gamma), feature_map=ident,
-                            feature_dim=p)
+        policy = NeuralUCB0(ident, p, 1.0, ConstantWidth(gamma))
         rng = np.random.default_rng(84)
         for _ in range(15):
             contexts = rng.standard_normal((4, p))
@@ -316,36 +333,33 @@ class TestNeuralUCB0:
         assert closed - sampled_max <= 1e-3
 
     def test_identity_features_reproduce_lin_ucb(self):
-        # co-simulation: same widths, same data, action-for-action agreement
+        # co-simulation against ridge UCB recomputed from scratch each round:
+        # same widths, same data, action-for-action agreement
         d, k, rounds = 6, 5, 120
         alpha, lam = 0.8, 1.3
-        ident = lambda x: np.asarray(x, dtype=np.float64)
-        frozen = NeuralUCB0(lam, ConstantWidth(alpha), feature_map=ident,
-                            feature_dim=d)
-        linear = LinUCB(d, alpha, lam=lam)
+        frozen = lin_ucb(d, alpha, lam=lam)
         rng = np.random.default_rng(85)
         secret = rng.standard_normal(d)
+        seen, rewards = [], []
         actions_f, actions_l = [], []
         for _ in range(rounds):
             contexts = rng.standard_normal((k, d))
             af, _ = frozen.select(contexts)
-            al, _ = linear.select(contexts)
             actions_f.append(af)
-            actions_l.append(al)
+            actions_l.append(batch_ridge_ucb(seen, rewards, contexts, alpha, lam))
             reward = float(contexts[af] @ secret + 0.1 * rng.standard_normal())
             frozen.update(contexts[af], reward)
-            linear.update(contexts[al], reward)
+            seen.append(contexts[af])
+            rewards.append(reward)
         assert actions_f == actions_l
-
-    def test_feature_map_requires_dimension(self):
-        with pytest.raises(ValueError, match="feature_dim"):
-            NeuralUCB0(1.0, ConstantWidth(0.1), feature_map=lambda x: x)
 
 
 class TestNeuralEpsilonGreedy0:
     def test_maintains_ridge_regression(self):
         shape = NetworkShape(4, 4, 2)
-        policy = NeuralEpsilonGreedy0(1.0, 0.2, np.random.default_rng(86), shape=shape)
+        policy_rng = np.random.default_rng(86)
+        policy = NeuralEpsilonGreedy0(*gradient_feature_map(shape, policy_rng), 1.0, 0.2,
+                                      policy_rng)
         rng = np.random.default_rng(87)
         for _ in range(10):
             contexts = duplicated_contexts(3, 2, int(rng.integers(1 << 30)))
@@ -358,13 +372,13 @@ class TestNeuralEpsilonGreedy0:
 
 class TestLinUCB:
     def test_fresh_scores_scale_with_context_norm(self):
-        policy = LinUCB(3, alpha=2.0, lam=4.0)
+        policy = lin_ucb(3, alpha=2.0, lam=4.0)
         contexts = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         _, scores = policy.select(contexts)
         assert np.allclose(scores, 2.0 * np.linalg.norm(contexts, axis=1) / 2.0)
 
     def test_one_step_ridge_by_hand(self):
-        policy = LinUCB(2, alpha=0.0, lam=1.0)
+        policy = lin_ucb(2, alpha=0.0, lam=1.0)
         policy.update(np.array([1.0, 0.0]), 1.0)
         _, scores = policy.select(np.array([[1.0, 0.0]]))
         assert scores[0] == pytest.approx(0.5)
@@ -374,7 +388,7 @@ class TestLinUCB:
         rng = np.random.default_rng(88)
         secret = rng.standard_normal(d)
         secret /= np.linalg.norm(secret)
-        policy = LinUCB(d, alpha=1.0, lam=1.0)
+        policy = lin_ucb(d, alpha=1.0, lam=1.0)
         optimal_hits = []
         for t in range(horizon):
             contexts = rng.standard_normal((k, d))
@@ -432,7 +446,7 @@ class TestTrivialPolicies:
     def test_actions_always_in_range(self):
         policies = [
             UniformRandomPolicy(np.random.default_rng(92)),
-            LinUCB(4, alpha=1.0),
+            lin_ucb(4, alpha=1.0),
             KernelUCB(bandwidth=1.0, beta=1.0),
         ]
         rng = np.random.default_rng(93)
