@@ -4,15 +4,24 @@ The design matrix starts at lam * I and accumulates outer products u u^T of
 scaled gradient features.  Full mode maintains the inverse by the
 Sherman-Morrison identity and the log-determinant ratio by the matrix
 determinant lemma, with a periodic refresh from a direct factorization to
-bound floating-point drift.  Diagonal mode keeps only the p diagonal entries
-(the large-width approximation used for wide networks); its "log-det" is the
-sum of per-coordinate log ratios.
+bound floating-point drift.  It stores Z and its inverse as Fortran-ordered
+p x p arrays of which only the upper triangles are kept current: BLAS dsyr
+applies each rank-one update to them in place, dsymv computes products with
+the inverse, and LAPACK dpotrf/dpotri recompute the inverse at a refresh.
+Diagonal mode keeps only the p diagonal entries (the large-width
+approximation used for wide networks); its "log-det" is the sum of
+per-coordinate log ratios.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dsymv, dsyr
+from scipy.linalg.lapack import dpotrf, dpotri
+
+from neuralbandit.network import check_integer
 
 __all__ = [
     "DesignMatrix",
@@ -26,7 +35,13 @@ DEFAULT_REFRESH_EVERY = 512
 
 
 class DesignMatrix:
-    """lam*I plus a stream of rank-one updates; owned by one policy run."""
+    """lam*I plus a stream of rank-one updates; owned by one policy run.
+
+    Full mode keeps only the upper triangles of Z and Z^{-1} current, in
+    Fortran-ordered arrays that BLAS updates in place (the lower triangles
+    hold stale values after a refresh).  Every read goes through dsymv or
+    through `matrix`/`inverse`, which return fresh symmetric copies.
+    """
 
     def __init__(self, dim: int, lam: float, mode: str = "full",
                  refresh_every: int = DEFAULT_REFRESH_EVERY):
@@ -36,6 +51,7 @@ class DesignMatrix:
             raise ValueError(f"lam must be positive, got {lam}")
         if mode not in ("full", "diagonal"):
             raise ValueError(f"mode must be 'full' or 'diagonal', got {mode!r}")
+        check_integer("refresh_every", refresh_every)
         if refresh_every < 1:
             raise ValueError(f"refresh_every must be >= 1, got {refresh_every}")
         self.dim = dim
@@ -44,11 +60,19 @@ class DesignMatrix:
         self.refresh_every = refresh_every
         self._updates = 0
         if mode == "full":
-            self._z = lam * np.eye(dim)
-            self._z_inv = np.eye(dim) / lam
             self._logdet = 0.0
         else:
             self._diag = np.full(dim, lam)
+
+    # Full mode's p x p arrays are made on first use: validation builds a
+    # policy only to run its constructor checks and never touches them.
+    @functools.cached_property
+    def _z(self) -> np.ndarray:
+        return _scaled_identity(self.dim, self.lam)
+
+    @functools.cached_property
+    def _z_inv(self) -> np.ndarray:
+        return _scaled_identity(self.dim, 1.0 / self.lam)
 
     def _check_vec(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -63,10 +87,11 @@ class DesignMatrix:
             self._diag += u * u
             self._updates += 1
             return
-        zu = self._z_inv @ u
+        zu = dsymv(1.0, self._z_inv, u)
         denom = 1.0 + float(u @ zu)
-        self._z += np.outer(u, u)
-        self._z_inv -= np.outer(zu, zu) / denom
+        # the arrays are F-contiguous, so overwrite_a updates them in place
+        self._z = dsyr(1.0, u, a=self._z, overwrite_a=1)
+        self._z_inv = dsyr(-1.0 / denom, zu, a=self._z_inv, overwrite_a=1)
         self._logdet += math.log(denom)
         self._updates += 1
         if self._updates % self.refresh_every == 0:
@@ -76,24 +101,29 @@ class DesignMatrix:
         """Recompute the inverse and log-det from a direct Cholesky factorization."""
         if self.mode == "diagonal":
             return
-        chol = np.linalg.cholesky(self._z)
-        inv_chol = np.linalg.solve(chol, np.eye(self.dim))
-        self._z_inv = inv_chol.T @ inv_chol
-        self._logdet = 2.0 * float(np.sum(np.log(np.diag(chol)))) - self.dim * math.log(self.lam)
+        chol, info = dpotrf(self._z, lower=0)
+        if info != 0:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        # read the log-det before dpotri overwrites the factor
+        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        self._z_inv, info = dpotri(chol, lower=0, overwrite_c=1)
+        if info != 0:
+            raise np.linalg.LinAlgError("Matrix is singular")
+        self._logdet = logdet - self.dim * math.log(self.lam)
 
     def quadratic_form(self, v) -> float:
         """v^T Z^{-1} v; nonnegative."""
         v = self._check_vec(v)
         if self.mode == "diagonal":
             return float(np.sum(v * v / self._diag))
-        return float(v @ (self._z_inv @ v))
+        return float(v @ dsymv(1.0, self._z_inv, v))
 
     def solve(self, rhs) -> np.ndarray:
         """Z^{-1} rhs using the maintained inverse (or the diagonal)."""
         rhs = self._check_vec(rhs)
         if self.mode == "diagonal":
             return rhs / self._diag
-        return self._z_inv @ rhs
+        return dsymv(1.0, self._z_inv, rhs)
 
     def log_det_ratio(self) -> float:
         """log(det Z / det lam*I); zero for a fresh matrix, nondecreasing."""
@@ -103,21 +133,33 @@ class DesignMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense Z (diagonal mode materializes it); for inspection and tests."""
+        """A fresh dense symmetric Z (diagonal mode materializes it); for inspection and tests."""
         if self.mode == "diagonal":
             return np.diag(self._diag)
-        return self._z.copy()
+        return _symmetric_copy(self._z)
 
     @property
     def inverse(self) -> np.ndarray:
-        """The maintained dense inverse (diagonal mode materializes it)."""
+        """A fresh dense symmetric copy of the maintained inverse (diagonal mode materializes it)."""
         if self.mode == "diagonal":
             return np.diag(1.0 / self._diag)
-        return self._z_inv.copy()
+        return _symmetric_copy(self._z_inv)
 
     @property
     def updates(self) -> int:
         return self._updates
+
+
+def _scaled_identity(dim: int, value: float) -> np.ndarray:
+    """value * I as a Fortran-ordered array, built without p x p temporaries."""
+    out = np.zeros((dim, dim), order="F")
+    np.fill_diagonal(out, value)
+    return out
+
+
+def _symmetric_copy(upper: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose upper triangle is that of `upper`."""
+    return np.triu(upper) + np.triu(upper, 1).T
 
 
 @dataclass(frozen=True)

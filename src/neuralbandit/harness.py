@@ -15,6 +15,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import os
 import re
 import time
@@ -85,8 +86,11 @@ class EnvironmentConfig:
         if self.kind not in kinds:
             errors.append(f"environment.kind: unknown kind {self.kind!r}, choose from {kinds}")
         errors += _count_errors("environment.horizon", self.horizon, 1)
-        if self.noise_scale < 0:
-            errors.append(f"environment.noise_scale: must be >= 0, got {self.noise_scale}")
+        if isinstance(self.noise_scale, bool) or not isinstance(self.noise_scale, numbers.Real):
+            errors.append(f"environment.noise_scale: must be a number, got {self.noise_scale!r}")
+        elif not 0 <= self.noise_scale < math.inf:
+            errors.append(f"environment.noise_scale: must be finite and >= 0, "
+                          f"got {self.noise_scale}")
         if self.kind == "dataset":
             if not self.dataset_path:
                 errors.append("environment.dataset_path: required for dataset environments")

@@ -29,6 +29,12 @@ __all__ = [
 ]
 
 
+def check_integer(name: str, value) -> None:
+    """Raise TypeError, naming the parameter, unless value is an integer (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NetworkShape:
     """Architecture of the ReLU network.
@@ -42,6 +48,8 @@ class NetworkShape:
     depth: int
 
     def __post_init__(self):
+        check_integer("depth", self.depth)
+        check_integer("width", self.width)
         if self.depth < 2:
             raise ValueError(f"depth must be >= 2, got {self.depth}")
         if self.input_dim < 2 or self.input_dim % 2 != 0:

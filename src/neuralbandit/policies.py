@@ -19,6 +19,7 @@ from scipy.linalg import solve_triangular
 from neuralbandit.confidence import DesignMatrix
 from neuralbandit.network import (
     NetworkShape,
+    check_integer,
     init_symmetric,
     init_plain,
     forward_batch,
@@ -66,12 +67,18 @@ class TrainingConfig:
     def __post_init__(self):
         if self.eta <= 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.j_steps is not None and self.j_steps < 0:
-            raise ValueError(f"j_steps must be >= 0, got {self.j_steps}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.j_steps is not None:
+            check_integer("j_steps", self.j_steps)
+            if self.j_steps < 0:
+                raise ValueError(f"j_steps must be >= 0, got {self.j_steps}")
+        if self.batch_size is not None:
+            check_integer("batch_size", self.batch_size)
+            if self.batch_size < 1:
+                raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        check_integer("cadence", self.cadence)
         if self.cadence < 1:
             raise ValueError(f"cadence must be >= 1, got {self.cadence}")
+        check_integer("train_start", self.train_start)
         if self.train_start < 0:
             raise ValueError(f"train_start must be >= 0, got {self.train_start}")
 
@@ -343,6 +350,7 @@ class KernelUCB:
             raise ValueError(f"beta must be >= 0, got {beta}")
         if lam <= 0:
             raise ValueError(f"lam must be positive, got {lam}")
+        check_integer("cap", cap)
         if cap < 1:
             raise ValueError(f"cap must be >= 1, got {cap}")
         self.bandwidth = bandwidth

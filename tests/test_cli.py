@@ -1,6 +1,7 @@
 """Tests for the command-line interface: subcommands, exit codes, file output."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -63,6 +64,14 @@ class TestRun:
         pytest.param({"horizon": 5.5}, {}, {}, "environment.horizon", id="fractional-horizon"),
         pytest.param({"num_actions": 2.5}, {}, {}, "environment.num_actions",
                      id="fractional-num-actions"),
+        pytest.param({}, {"cadence": 2.5}, {}, "policy.cadence", id="fractional-cadence"),
+        pytest.param({}, {"refresh_every": 2.5}, {}, "policy.refresh_every",
+                     id="fractional-refresh-every"),
+        pytest.param({}, {"depth": 2.5}, {}, "policy.depth", id="fractional-depth"),
+        pytest.param({"noise_scale": "0.5"}, {}, {}, "environment.noise_scale",
+                     id="string-noise-scale"),
+        pytest.param({"noise_scale": math.nan}, {}, {}, "environment.noise_scale",
+                     id="nan-noise-scale"),
     ])
     def test_invalid_config_exits_one_naming_field(self, tmp_path, capsys,
                                                    environment, policy, top, field_name):

@@ -159,6 +159,33 @@ class TestInvariants:
         assert diag.quadratic_form(v) == pytest.approx(full.quadratic_form(v), rel=1e-9)
         assert diag.log_det_ratio() == pytest.approx(full.log_det_ratio(), rel=1e-9)
 
+    @given(p=st.integers(2, 12), lam=st.floats(0.2, 3.0), refresh_every=st.integers(1, 8),
+           extra=st.integers(0, 8), seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_design_matches_direct_factorization_across_refreshes(
+            self, p, lam, refresh_every, extra, seed):
+        rng = np.random.default_rng(seed)
+        full = DesignMatrix(p, lam, mode="full", refresh_every=refresh_every)
+        diag = DesignMatrix(p, lam, mode="diagonal")
+        direct = lam * np.eye(p)
+        v = rng.standard_normal(p)
+        for _ in range(4 * refresh_every + extra):
+            u = rng.standard_normal(p)
+            full.rank_one_update(u)
+            diag.rank_one_update(u)
+            direct += np.outer(u, u)
+            z, z_inv = full.matrix, full.inverse
+            assert np.array_equal(z, z.T) and np.array_equal(z_inv, z_inv.T)
+            assert np.max(np.abs(z - direct)) <= 1e-12 * np.max(np.abs(direct))
+            assert np.max(np.abs(z_inv - np.linalg.inv(z))) <= 1e-8
+            assert full.log_det_ratio() == pytest.approx(direct_log_det_ratio(z, lam), abs=1e-6)
+            assert np.array_equal(diag.matrix, np.diag(np.diag(direct)))
+        # the returned arrays are copies: writing into them leaves the design as it was
+        before = full.quadratic_form(v)
+        full.matrix[:] = 1.0
+        full.inverse[:] = 1.0
+        assert full.quadratic_form(v) == before
+
     def test_refresh_bounds_drift_over_long_streams(self):
         rng = np.random.default_rng(43)
         d = DesignMatrix(30, 1.0, refresh_every=64)

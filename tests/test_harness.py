@@ -167,19 +167,38 @@ FIELDS_READ = {
 }
 
 
+# a non-integer value for each integer PolicyConfig field; some pass the range checks
+NON_INTEGER_POLICY_VALUES = {
+    "width": 4.0, "depth": 2.5, "refresh_every": 2.5, "j_steps": 3.0, "batch_size": 2.5,
+    "cadence": 2.5, "train_start": True, "kernel_cap": 10.0,
+}
+
+
+def policy_errors(algorithm, field_name, value):
+    policy = PolicyConfig(algorithm=algorithm, **{field_name: value})
+    config = ExperimentConfig(
+        environment=EnvironmentConfig(kind="h1", dimension=5, horizon=5),
+        policy=policy, repetitions=1,
+    )
+    return config.validate()
+
+
 class TestValidation:
     @pytest.mark.parametrize("algorithm,field_name", [
         (algorithm, name) for algorithm, names in FIELDS_READ.items() for name in names
     ])
     def test_out_of_range_field_is_named(self, algorithm, field_name):
-        policy = PolicyConfig(algorithm=algorithm,
-                              **{field_name: BAD_POLICY_VALUES[field_name]})
-        config = ExperimentConfig(
-            environment=EnvironmentConfig(kind="h1", dimension=5, horizon=5),
-            policy=policy, repetitions=1,
-        )
-        errors = config.validate()
+        errors = policy_errors(algorithm, field_name, BAD_POLICY_VALUES[field_name])
         assert len(errors) == 1 and f"policy.{field_name}" in errors[0], errors
+
+    @pytest.mark.parametrize("algorithm,field_name", [
+        (algorithm, name) for algorithm, names in FIELDS_READ.items() for name in names
+        if name in NON_INTEGER_POLICY_VALUES
+    ])
+    def test_non_integer_count_field_is_named(self, algorithm, field_name):
+        errors = policy_errors(algorithm, field_name, NON_INTEGER_POLICY_VALUES[field_name])
+        assert len(errors) == 1 and f"policy.{field_name}" in errors[0], errors
+        assert "must be an integer" in errors[0]
 
 
 class TestEmitResults:
