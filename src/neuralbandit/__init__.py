@@ -17,7 +17,6 @@ from neuralbandit.network import (
     forward_batch,
     gradient,
     gradient_batch,
-    flatten,
     unflatten,
 )
 from neuralbandit.ntk import (

@@ -9,7 +9,6 @@ import numpy as np
 from neuralbandit.confidence import DesignMatrix
 from neuralbandit.network import (
     NetworkShape,
-    flatten,
     forward,
     gradient,
     init_plain,
@@ -25,7 +24,7 @@ def check_gradient_finite_difference(step=1e-5, tol=1e-4):
     worst = 0.0
     for _ in range(5):
         params = init_plain(shape, rng)
-        theta = flatten(params) + 0.05 * rng.standard_normal(shape.num_params)
+        theta = params.flat + 0.05 * rng.standard_normal(shape.num_params)
         params = unflatten(shape, theta)
         x = rng.standard_normal(4)
         g = gradient(params, x)

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg.blas import dsymv, dsyr
 from scipy.linalg.lapack import dpotrf, dpotri
 
-from neuralbandit.network import check_integer
+from neuralbandit.network import check_integer, check_real
 
 __all__ = [
     "DesignMatrix",
@@ -47,6 +47,7 @@ class DesignMatrix:
                  refresh_every: int = DEFAULT_REFRESH_EVERY):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
+        check_real("lam", lam)
         if lam <= 0:
             raise ValueError(f"lam must be positive, got {lam}")
         if mode not in ("full", "diagonal"):
@@ -185,6 +186,13 @@ class GammaInputs:
     c3: float = 1.0
 
     def __post_init__(self):
+        for name in ("nu", "delta", "s_norm", "lam", "eta", "c1", "c2", "c3"):
+            check_real(name, getattr(self, name))
+        # j_steps = inf is the sentinel that switches the decay term off
+        if self.j_steps != math.inf:
+            check_real("j_steps", self.j_steps)
+        check_integer("width", self.width)
+        check_integer("depth", self.depth)
         if self.nu <= 0:
             raise ValueError(f"nu must be positive, got {self.nu}")
         if not 0 < self.delta < 1:
@@ -250,7 +258,8 @@ class ConstantWidth:
     """Fixed exploration width gamma_t = gamma for every round."""
 
     def __init__(self, gamma: float):
-        if gamma is None or gamma < 0:
+        check_real("gamma", gamma)
+        if gamma < 0:
             raise ValueError(f"gamma must be a nonnegative number, got {gamma}")
         self.gamma = gamma
 
@@ -262,6 +271,8 @@ class RidgeWidth:
     """Closed-form ridge width: nu * sqrt(logdet - 2 log delta) + sqrt(lam) * S."""
 
     def __init__(self, nu: float, delta: float, s_norm: float, lam: float):
+        for name, value in (("nu", nu), ("delta", delta), ("s_norm", s_norm), ("lam", lam)):
+            check_real(name, value)
         if nu <= 0:
             raise ValueError(f"nu must be positive, got {nu}")
         if not 0 < delta < 1:

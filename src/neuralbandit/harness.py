@@ -150,7 +150,8 @@ class ExperimentConfig:
     def validate(self) -> list:
         errors = self.environment.validate() + _policy_errors(self)
         errors += _count_errors("repetitions", self.repetitions, 1)
-        if not isinstance(self.base_seed, int) or self.base_seed < 0:
+        if isinstance(self.base_seed, bool) or not isinstance(self.base_seed, int) \
+                or self.base_seed < 0:
             errors.append(f"base_seed: must be a non-negative integer, got {self.base_seed!r}")
         return errors
 
@@ -273,7 +274,7 @@ def _build_policy(cfg: PolicyConfig, env, rng):
     if algo == "lin_ucb":
         try:
             width = ConstantWidth(cfg.alpha)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"alpha: {exc}") from None
         dim = 2 * raw_dim if cfg.resolved_preprocess() else raw_dim
         return policies.NeuralUCB0(lambda x: x, dim, cfg.lam, width)

@@ -5,11 +5,15 @@ The network is
     f(x; theta) = sqrt(m) * W_L relu(W_{L-1} relu( ... relu(W_1 x)))
 
 with W_1 of shape (m, d), the middle layers (m, m), and the output row
-W_L of shape (1, m).  There are no biases.  Parameters flatten to a single
-vector of length p = m*d + m^2*(L-2) + m, column-major within each matrix,
-layers in order.
+W_L of shape (1, m).  There are no biases.  The parameters are a single
+vector of length p = m*d + m^2*(L-2) + m, layers in order and row-major
+within each matrix, and each W_l is a zero-copy view of its slice: row-major
+views are C-contiguous, so they feed numpy the same BLAS calls as separate
+C-ordered matrices would.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +28,6 @@ __all__ = [
     "gradient",
     "gradient_batch",
     "gradient_weighted_sum",
-    "flatten",
     "unflatten",
 ]
 
@@ -33,6 +36,17 @@ def check_integer(name: str, value) -> None:
     """Raise TypeError, naming the parameter, unless value is an integer (bools are not)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name: str, value) -> None:
+    """Raise, naming the parameter, unless value is a finite real number (bools are not).
+
+    TypeError for a non-number, ValueError for nan or an infinity.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -73,26 +87,36 @@ class NetworkShape:
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Immutable weights (W_1, ..., W_L) matching a NetworkShape."""
+    """Parameters theta matching a NetworkShape; build them with unflatten.
+
+    `flat` is the read-only parameter vector of length p and `weights` holds
+    (W_1, ..., W_L) as row-major views of it, so the two never disagree.
+    """
 
     shape: NetworkShape
+    flat: np.ndarray
     weights: tuple
 
-    def __post_init__(self):
-        expected = self.shape.layer_shapes()
-        if len(self.weights) != len(expected):
-            raise ValueError(
-                f"expected {len(expected)} weight matrices, got {len(self.weights)}"
-            )
-        for l, (w, shp) in enumerate(zip(self.weights, expected)):
-            if w.shape != shp:
-                raise ValueError(f"layer {l + 1}: expected shape {shp}, got {w.shape}")
-        for w in self.weights:
-            w.flags.writeable = False
+
+def _layer_views(shape: NetworkShape, vec: np.ndarray) -> tuple:
+    """(W_1, ..., W_L) as row-major views of consecutive slices of vec."""
+    views = []
+    pos = 0
+    for rows, cols in shape.layer_shapes():
+        views.append(vec[pos : pos + rows * cols].reshape(rows, cols))
+        pos += rows * cols
+    return tuple(views)
 
 
-def _freeze(shape, mats) -> NetworkParams:
-    return NetworkParams(shape=shape, weights=tuple(np.ascontiguousarray(w) for w in mats))
+def unflatten(shape: NetworkShape, vec) -> NetworkParams:
+    """Parameters holding a read-only copy of vec; raises on wrong vector length."""
+    flat = np.array(vec, dtype=np.float64)
+    if flat.shape != (shape.num_params,):
+        raise ValueError(
+            f"parameter vector has shape {flat.shape}, expected ({shape.num_params},)"
+        )
+    flat.flags.writeable = False
+    return NetworkParams(shape, flat, _layer_views(shape, flat))
 
 
 def init_symmetric(shape: NetworkShape, rng: np.random.Generator) -> NetworkParams:
@@ -104,16 +128,16 @@ def init_symmetric(shape: NetworkShape, rng: np.random.Generator) -> NetworkPara
     the two halves of x coincide.
     """
     m = shape.width
-    mats = []
-    for rows, cols in shape.layer_shapes()[:-1]:
-        w = np.zeros((rows, cols))
+    vec = np.zeros(shape.num_params)
+    *hidden, out = _layer_views(shape, vec)
+    for w in hidden:
+        rows, cols = w.shape
         block = rng.normal(0.0, np.sqrt(4.0 / m), size=(rows // 2, cols // 2))
         w[: rows // 2, : cols // 2] = block
         w[rows // 2 :, cols // 2 :] = block
-        mats.append(w)
     half = rng.normal(0.0, np.sqrt(2.0 / m), size=m // 2)
-    mats.append(np.concatenate([half, -half])[None, :])
-    return _freeze(shape, mats)
+    out[0] = np.concatenate([half, -half])
+    return unflatten(shape, vec)
 
 
 def init_plain(shape: NetworkShape, rng: np.random.Generator) -> NetworkParams:
@@ -124,11 +148,12 @@ def init_plain(shape: NetworkShape, rng: np.random.Generator) -> NetworkParams:
     the closed-form tangent-kernel Gram matrix (see ntk.empirical_gram).
     """
     m = shape.width
-    mats = []
-    for rows, cols in shape.layer_shapes()[:-1]:
-        mats.append(rng.normal(0.0, np.sqrt(2.0 / m), size=(rows, cols)))
-    mats.append(rng.normal(0.0, np.sqrt(1.0 / m), size=(1, m)))
-    return _freeze(shape, mats)
+    vec = np.zeros(shape.num_params)
+    *hidden, out = _layer_views(shape, vec)
+    for w in hidden:
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / m), size=w.shape)
+    out[...] = rng.normal(0.0, np.sqrt(1.0 / m), size=(1, m))
+    return unflatten(shape, vec)
 
 
 def _check_input(params: NetworkParams, x: np.ndarray, batched: bool) -> np.ndarray:
@@ -198,8 +223,8 @@ def gradient_batch(params: NetworkParams, x) -> np.ndarray:
     x = _check_input(params, x, batched=True)
     n = x.shape[0]
     acts, deltas = _backprop(params, x, np.ones(n))
-    # row i of a block is vec(outer(d_i, a_i)) column-major: a varies slowest
-    blocks = [(a[:, :, None] * d[:, None, :]).reshape(n, -1)
+    # row i of a block is outer(d_i, a_i) flattened row-major, like the weight views
+    blocks = [(d[:, :, None] * a[:, None, :]).reshape(n, -1)
               for a, d in zip(acts, deltas)]
     blocks.append(np.sqrt(params.shape.width) * acts[-1])
     return np.concatenate(blocks, axis=1)
@@ -216,27 +241,6 @@ def gradient_weighted_sum(params: NetworkParams, x, weights) -> np.ndarray:
     if weights.shape != (x.shape[0],):
         raise ValueError(f"weights shape {weights.shape} != ({x.shape[0]},)")
     acts, deltas = _backprop(params, x, weights)
-    blocks = [(d.T @ a).ravel(order="F") for a, d in zip(acts, deltas)]
+    blocks = [(d.T @ a).ravel() for a, d in zip(acts, deltas)]
     blocks.append(np.sqrt(params.shape.width) * (weights @ acts[-1]))
     return np.concatenate(blocks)
-
-
-def flatten(params: NetworkParams) -> np.ndarray:
-    """Concatenate vec(W_1), ..., vec(W_L), column-major within each matrix."""
-    return np.concatenate([w.ravel(order="F") for w in params.weights])
-
-
-def unflatten(shape: NetworkShape, vec) -> NetworkParams:
-    """Inverse of flatten; raises on wrong vector length."""
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (shape.num_params,):
-        raise ValueError(
-            f"parameter vector has shape {vec.shape}, expected ({shape.num_params},)"
-        )
-    mats = []
-    pos = 0
-    for rows, cols in shape.layer_shapes():
-        n = rows * cols
-        mats.append(vec[pos : pos + n].reshape((rows, cols), order="F").copy())
-        pos += n
-    return _freeze(shape, mats)

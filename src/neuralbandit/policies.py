@@ -20,12 +20,12 @@ from neuralbandit.confidence import DesignMatrix
 from neuralbandit.network import (
     NetworkShape,
     check_integer,
+    check_real,
     init_symmetric,
     init_plain,
     forward_batch,
     gradient_batch,
     gradient_weighted_sum,
-    flatten,
     unflatten,
 )
 
@@ -65,6 +65,7 @@ class TrainingConfig:
     train_start: int = 0
 
     def __post_init__(self):
+        check_real("eta", self.eta)
         if self.eta <= 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
         if self.j_steps is not None:
@@ -113,13 +114,12 @@ def train_nn(lam, eta, j_steps, contexts, rewards, theta0, batch_size=None, rng=
     shape = theta0.shape
     m = shape.width
     b = n if batch_size is None else min(batch_size, n)
-    theta0_flat = flatten(theta0)
-    params, theta = theta0, theta0_flat
+    params = theta0
     losses = []
     step = 0
 
     def record(resid):
-        dtheta = theta - theta0_flat
+        dtheta = params.flat - theta0.flat
         loss = 0.5 * float(resid @ resid) + 0.5 * m * lam * float(dtheta @ dtheta)
         if not math.isfinite(loss):
             raise DivergenceError(f"training loss is non-finite at step {step} (eta={eta})")
@@ -138,9 +138,8 @@ def train_nn(lam, eta, j_steps, contexts, rewards, theta0, batch_size=None, rng=
                 if lo == 0:
                     record(resid if order is None else forward_batch(params, x) - r)
                 grad = gradient_weighted_sum(params, xb, resid) \
-                    + m * lam * (theta - theta0_flat)
-                theta = theta - eta * grad
-                params = unflatten(shape, theta)
+                    + m * lam * (params.flat - theta0.flat)
+                params = unflatten(shape, params.flat - eta * grad)
                 step += 1
         record(forward_batch(params, x) - r)
 
@@ -162,6 +161,12 @@ def _ucb_choice(means, feats, design, gamma):
     return int(np.argmax(scores)), scores
 
 
+def _check_epsilon(epsilon) -> None:
+    check_real("epsilon", epsilon)
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+
+
 def _epsilon_choice(scores, epsilon, rng):
     """Argmax of scores, or with probability epsilon a uniform arm.
 
@@ -177,6 +182,7 @@ class _TrainedNetwork:
 
     def __init__(self, shape: NetworkShape, lam: float, rng: np.random.Generator,
                  train: TrainingConfig, init=init_symmetric):
+        check_real("lam", lam)
         if lam <= 0:
             raise ValueError(f"lam must be positive, got {lam}")
         self.shape = shape
@@ -244,8 +250,7 @@ class NeuralEpsilonGreedy(_TrainedNetwork):
     """
 
     def __init__(self, shape, lam, epsilon, rng, train=TrainingConfig()):
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+        _check_epsilon(epsilon)
         super().__init__(shape, lam, rng, train, init=init_symmetric)
         self.epsilon = epsilon
 
@@ -321,8 +326,7 @@ class NeuralEpsilonGreedy0(_FrozenFeatureRidge):
 
     def __init__(self, feature_map, feature_dim, lam, epsilon, rng, design_mode="full",
                  refresh_every=512):
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+        _check_epsilon(epsilon)
         super().__init__(feature_map, feature_dim, lam, design_mode, refresh_every)
         self.epsilon = epsilon
         self.rng = rng
@@ -344,6 +348,11 @@ class KernelUCB:
     """
 
     def __init__(self, bandwidth: float, beta: float, lam: float = 1.0, cap: int = 1000):
+        # an infinite bandwidth is the constant-kernel limit, where every arm ties
+        if bandwidth != math.inf:
+            check_real("bandwidth", bandwidth)
+        check_real("beta", beta)
+        check_real("lam", lam)
         if not bandwidth > 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
         if beta < 0:

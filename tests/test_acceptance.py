@@ -24,7 +24,6 @@ from neuralbandit.harness import (
 )
 from neuralbandit.network import (
     NetworkShape,
-    flatten,
     forward,
     forward_batch,
     gradient,
@@ -99,7 +98,7 @@ def test_criterion_02_gradient_matches_finite_differences():
         checked = 0
         while checked < 20:
             params = init_plain(shape, rng)
-            theta = flatten(params) + 0.05 * rng.standard_normal(shape.num_params)
+            theta = params.flat + 0.05 * rng.standard_normal(shape.num_params)
             params = unflatten(shape, theta)
             x = rng.standard_normal(4)
             if not away_from_kinks(params, x):
@@ -290,7 +289,7 @@ def test_criterion_08_training_descends():
     theta0 = init_symmetric(shape, np.random.default_rng(1010))
     x = preprocess_batch(np.random.default_rng(1011).standard_normal((8, 2)))
     delta = 0.05 * np.random.default_rng(1012).standard_normal(shape.num_params)
-    r = forward_batch(unflatten(shape, flatten(theta0) + delta), x)
+    r = forward_batch(unflatten(shape, theta0.flat + delta), x)
     with Budget(30.0) as budget:
         eta = 0.05
         halvings = 0

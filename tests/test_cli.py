@@ -72,6 +72,10 @@ class TestRun:
                      id="string-noise-scale"),
         pytest.param({"noise_scale": math.nan}, {}, {}, "environment.noise_scale",
                      id="nan-noise-scale"),
+        pytest.param({}, {"gamma": math.nan}, {}, "policy.gamma", id="nan-gamma"),
+        pytest.param({}, {"lam": math.nan}, {}, "policy.lam", id="nan-lam"),
+        pytest.param({}, {"eta": "0.1"}, {}, "policy.eta", id="string-eta"),
+        pytest.param({}, {}, {"base_seed": True}, "base_seed", id="bool-base-seed"),
     ])
     def test_invalid_config_exits_one_naming_field(self, tmp_path, capsys,
                                                    environment, policy, top, field_name):

@@ -258,6 +258,14 @@ class TestGammaTheoretical:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             base_inputs(nu=0.0)
+
+    @pytest.mark.parametrize("name,value,error", [
+        ("c1", math.nan, ValueError), ("eta", math.inf, ValueError), ("nu", "1", TypeError),
+        ("j_steps", math.nan, ValueError), ("width", 2.5, TypeError),
+    ])
+    def test_non_finite_or_non_number_input_is_named(self, name, value, error):
+        with pytest.raises(error, match=f"^{name} must be"):
+            base_inputs(**{name: value})
         with pytest.raises(ValueError):
             base_inputs(delta=0.0)
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -174,6 +175,14 @@ NON_INTEGER_POLICY_VALUES = {
 }
 
 
+# the real-valued PolicyConfig fields; each must be a finite number
+REAL_POLICY_FIELDS = ("lam", "gamma", "epsilon", "alpha", "nu", "delta", "s_norm", "eta",
+                      "kernel_bandwidth", "kernel_beta")
+NON_FINITE_OR_NON_NUMBER = {"nan": (math.nan, "must be finite"),
+                            "inf": (math.inf, "must be finite"),
+                            "string": ("0.5", "must be a real number")}
+
+
 def policy_errors(algorithm, field_name, value):
     policy = PolicyConfig(algorithm=algorithm, **{field_name: value})
     config = ExperimentConfig(
@@ -199,6 +208,18 @@ class TestValidation:
         errors = policy_errors(algorithm, field_name, NON_INTEGER_POLICY_VALUES[field_name])
         assert len(errors) == 1 and f"policy.{field_name}" in errors[0], errors
         assert "must be an integer" in errors[0]
+
+    @pytest.mark.parametrize("algorithm,field_name,kind", [
+        (algorithm, name, kind) for algorithm, names in FIELDS_READ.items() for name in names
+        if name in REAL_POLICY_FIELDS for kind in NON_FINITE_OR_NON_NUMBER
+        # an infinite kernel bandwidth is the constant-kernel limit KernelUCB accepts
+        if (name, kind) != ("kernel_bandwidth", "inf")
+    ])
+    def test_non_finite_or_non_number_real_field_is_named(self, algorithm, field_name, kind):
+        value, message = NON_FINITE_OR_NON_NUMBER[kind]
+        errors = policy_errors(algorithm, field_name, value)
+        assert len(errors) == 1 and f"policy.{field_name}" in errors[0], errors
+        assert message in errors[0]
 
 
 class TestEmitResults:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from neuralbandit.network import (
     NetworkShape,
-    NetworkParams,
     init_symmetric,
     init_plain,
     forward,
@@ -15,7 +14,6 @@ from neuralbandit.network import (
     gradient,
     gradient_batch,
     gradient_weighted_sum,
-    flatten,
     unflatten,
 )
 
@@ -23,7 +21,7 @@ from neuralbandit.network import (
 def tiny_params():
     """d=2, m=2, L=2 with W1 = I and output row (1, -1)."""
     shape = NetworkShape(2, 2, 2)
-    return shape, NetworkParams(shape, (np.eye(2), np.array([[1.0, -1.0]])))
+    return shape, unflatten(shape, [1.0, 0.0, 0.0, 1.0, 1.0, -1.0])
 
 
 class TestShape:
@@ -39,22 +37,17 @@ class TestShape:
         with pytest.raises(ValueError):
             NetworkShape(d, m, L)
 
-    def test_weight_shape_mismatch_rejected(self):
-        shape = NetworkShape(2, 2, 2)
-        with pytest.raises(ValueError):
-            NetworkParams(shape, (np.eye(3), np.array([[1.0, -1.0]])))
-
 
 class TestFlatten:
     def test_flatten_length_matches_param_count(self):
         shape = NetworkShape(4, 8, 3)
         params = init_plain(shape, np.random.default_rng(0))
-        assert flatten(params).shape == (104,)
+        assert params.flat.shape == (104,)
 
     def test_round_trip_is_bitwise_exact(self):
         shape = NetworkShape(4, 8, 3)
         params = init_plain(shape, np.random.default_rng(1))
-        back = unflatten(shape, flatten(params))
+        back = unflatten(shape, params.flat)
         for a, b in zip(params.weights, back.weights):
             assert np.array_equal(a, b)
 
@@ -63,12 +56,13 @@ class TestFlatten:
     def test_vector_round_trip(self, seed):
         shape = NetworkShape(4, 6, 3)
         vec = np.random.default_rng(seed).standard_normal(shape.num_params)
-        assert np.array_equal(flatten(unflatten(shape, vec)), vec)
+        assert np.array_equal(unflatten(shape, vec).flat, vec)
 
-    def test_column_major_order(self):
-        shape, params = tiny_params()
-        # vec(I2) column-major then the output row
-        assert np.array_equal(flatten(params), [1.0, 0.0, 0.0, 1.0, 1.0, -1.0])
+    def test_row_major_order(self):
+        # W1 is not symmetric, so a column-major layout would read it transposed
+        params = unflatten(NetworkShape(2, 2, 2), [1.0, 2.0, 3.0, 4.0, 5.0, -6.0])
+        assert np.array_equal(params.weights[0], [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(params.weights[1], [[5.0, -6.0]])
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -167,7 +161,8 @@ class TestForward:
         rng = np.random.default_rng(11)
         params = init_plain(shape, rng)
         x = rng.standard_normal(4)
-        doubled = NetworkParams(shape, params.weights[:-1] + (2.0 * params.weights[-1],))
+        m = shape.width
+        doubled = unflatten(shape, np.concatenate([params.flat[:-m], 2.0 * params.flat[-m:]]))
         assert forward(doubled, x) == pytest.approx(2.0 * forward(params, x), rel=1e-12)
 
     def test_batch_matches_single(self):
@@ -227,11 +222,10 @@ class TestGradient:
 
     def test_relu_gating_zeroes_inactive_rows(self):
         shape = NetworkShape(2, 2, 2)
-        params = NetworkParams(shape, (np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                                       np.array([[1.0, 1.0]])))
+        params = unflatten(shape, [1.0, 0.0, -1.0, 0.0, 1.0, 1.0])
         g = gradient(params, np.array([1.0, 0.5]))
-        # row 2 of W1 has negative preactivation: its column-major slots are zero
-        w1_block = g[:4].reshape(2, 2, order="F")
+        # row 2 of W1 has negative preactivation: its row-major slots are zero
+        w1_block = g[:4].reshape(2, 2)
         assert np.all(w1_block[1] == 0.0)
         assert np.any(w1_block[0] != 0.0)
 
@@ -241,7 +235,7 @@ class TestGradient:
         checked = 0
         while checked < 3:
             params = init_plain(shape, rng)
-            theta = flatten(params) + 0.05 * rng.standard_normal(shape.num_params)
+            theta = params.flat + 0.05 * rng.standard_normal(shape.num_params)
             params = unflatten(shape, theta)
             x = rng.standard_normal(4)
             if not away_from_kinks(params, x):
@@ -275,3 +269,26 @@ class TestImmutability:
         params = init_plain(NetworkShape(4, 4, 2), np.random.default_rng(16))
         with pytest.raises(ValueError):
             params.weights[0][0, 0] = 1.0
+        with pytest.raises(ValueError):
+            params.flat[0] = 1.0
+
+    def test_unflatten_copies_its_input(self):
+        shape = NetworkShape(4, 4, 3)
+        vec = np.random.default_rng(17).standard_normal(shape.num_params)
+        params = unflatten(shape, vec)
+        before = [w.copy() for w in params.weights]
+        vec[:] = 0.0
+        assert np.any(params.flat != 0.0)
+        for w, b in zip(params.weights, before):
+            assert np.array_equal(w, b)
+
+    def test_weights_are_read_only_row_major_views_of_flat(self):
+        params = init_symmetric(NetworkShape(4, 4, 3), np.random.default_rng(18))
+        assert not params.flat.flags.writeable
+        pos = 0
+        for w in params.weights:
+            assert np.shares_memory(w, params.flat)
+            assert w.flags.c_contiguous and not w.flags.writeable
+            assert np.array_equal(w.ravel(), params.flat[pos : pos + w.size])
+            pos += w.size
+        assert pos == params.flat.size

@@ -12,7 +12,6 @@ from neuralbandit.environments import preprocess_batch
 from neuralbandit.harness import PolicyConfig, _build_policy
 from neuralbandit.network import (
     NetworkShape,
-    flatten,
     gradient_batch,
     init_symmetric,
 )
