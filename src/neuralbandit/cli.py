@@ -123,12 +123,6 @@ def _cmd_grid(args) -> int:
 
 def _cmd_ntk(args) -> int:
     contexts = _load_matrix(args.contexts, "--contexts")
-    if args.depth < 2:
-        raise ConfigError([f"--depth: must be >= 2, got {args.depth}"])
-    if args.lam <= 0:
-        raise ConfigError([f"--lambda: must be positive, got {args.lam}"])
-    if args.tk < 1:
-        raise ConfigError([f"--tk: must be >= 1, got {args.tk}"])
     try:
         gram = ntk_gram(contexts, args.depth)
         dim = effective_dimension(gram, args.lam, args.tk)

@@ -201,8 +201,10 @@ class GammaInputs:
             raise ValueError(f"s_norm must be positive, got {self.s_norm}")
         if self.lam <= 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.width < 1 or self.depth < 2:
-            raise ValueError("width >= 1 and depth >= 2 required")
+        if self.width < 1:
+            raise ValueError(f"width must be >= 1, got {self.width}")
+        if self.depth < 2:
+            raise ValueError(f"depth must be >= 2, got {self.depth}")
         if self.eta <= 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
         if self.j_steps < 0:

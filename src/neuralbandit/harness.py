@@ -16,10 +16,8 @@ import itertools
 import json
 import math
 import numbers
-import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
@@ -44,7 +42,6 @@ __all__ = [
     "emit_grid_table",
 ]
 
-THREADS_ENV_VAR = "NEURAL_BANDIT_THREADS"
 GRID_CAP_DEFAULT = 256
 
 NEURAL_ALGORITHMS = ("neural_ucb", "neural_greedy", "neural_ucb0", "neural_greedy0")
@@ -57,6 +54,13 @@ def _count_errors(name, value, low) -> list:
         return [f"{name}: must be an integer, got {value!r}"]
     if value < low:
         return [f"{name}: must be >= {low}, got {value}"]
+    return []
+
+
+def _flag_errors(name, value) -> list:
+    """The error for a field that must be true or false."""
+    if not isinstance(value, bool):
+        return [f"{name}: must be true or false, got {value!r}"]
     return []
 
 
@@ -86,6 +90,7 @@ class EnvironmentConfig:
         if self.kind not in kinds:
             errors.append(f"environment.kind: unknown kind {self.kind!r}, choose from {kinds}")
         errors += _count_errors("environment.horizon", self.horizon, 1)
+        errors += _flag_errors("environment.shuffle", self.shuffle)
         if isinstance(self.noise_scale, bool) or not isinstance(self.noise_scale, numbers.Real):
             errors.append(f"environment.noise_scale: must be a number, got {self.noise_scale!r}")
         elif not 0 <= self.noise_scale < math.inf:
@@ -197,28 +202,32 @@ def _dataclass_from_dict(cls, data, prefix, errors):
         return cls()
 
 
+# the GammaInputs fields a gamma_inputs mapping inherits from the policy when it omits them
+_INHERITED_GAMMA_FIELDS = ("nu", "delta", "s_norm", "lam", "width", "depth", "eta", "j_steps")
+
+
 def _gamma_inputs_from_dict(policy: PolicyConfig, data: dict) -> GammaInputs:
-    """GammaInputs from the gamma_inputs mapping, defaulting to the policy's fields."""
+    """GammaInputs from the gamma_inputs mapping, defaulting to the policy's fields.
+
+    A rejected value inherited from the policy raises the constructor's own
+    message, which starts with the field's name; one from the mapping raises
+    it prefixed with gamma_inputs.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"gamma_inputs: must be a mapping, got {data!r}")
+    data = dict(data)
+    if isinstance(data.get("j_steps"), str) and data["j_steps"].lower() in ("inf", "infinity"):
+        data["j_steps"] = math.inf
+    inherited = {name: getattr(policy, name)
+                 for name in _INHERITED_GAMMA_FIELDS if name not in data}
+    if inherited.get("j_steps", 0) is None:
+        inherited["j_steps"] = math.inf
     try:
-        data = dict(data)
-        j = data.pop("j_steps", policy.j_steps if policy.j_steps is not None else math.inf)
-        if isinstance(j, str) and j.lower() in ("inf", "infinity"):
-            j = math.inf
-        return GammaInputs(
-            nu=data.pop("nu", policy.nu),
-            delta=data.pop("delta", policy.delta),
-            s_norm=data.pop("s_norm", policy.s_norm),
-            lam=data.pop("lam", policy.lam),
-            width=data.pop("width", policy.width),
-            depth=data.pop("depth", policy.depth),
-            eta=data.pop("eta", policy.eta),
-            j_steps=j,
-            c1=data.pop("c1", 1.0),
-            c2=data.pop("c2", 1.0),
-            c3=data.pop("c3", 1.0),
-            **data,
-        )
+        return GammaInputs(**inherited, **data)
     except (TypeError, ValueError) as exc:
+        rejected = re.match(r"(\w+) ", str(exc))
+        if rejected and rejected.group(1) in inherited:
+            raise
         raise ValueError(f"gamma_inputs: {exc}") from None
 
 
@@ -335,6 +344,10 @@ def _policy_errors(config: ExperimentConfig) -> list:
     # synthetic one is an environment error; 2 passes every dimension check
     usable = env.kind != "dataset" and not _count_errors("", env.dimension, 1)
     raw_dim = env.dimension if usable else 2
+    # checked for every algorithm, since kernel_ucb and random never read it; a
+    # non-bool leaves the input dimension unknown, so nothing is built
+    if policy.preprocess is not None and not isinstance(policy.preprocess, bool):
+        return _flag_errors("policy.preprocess", policy.preprocess)
     try:
         _build_policy(policy, SimpleNamespace(d=raw_dim), np.random.default_rng(0))
     except (TypeError, ValueError) as exc:
@@ -383,22 +396,8 @@ def run_single(config: ExperimentConfig, rep: int, dataset=None,
     )
 
 
-def _worker_count(repetitions: int) -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ConfigError([f"{THREADS_ENV_VAR}: not an integer: {raw!r}"]) from None
-        if cap < 1:
-            raise ConfigError([f"{THREADS_ENV_VAR}: must be >= 1, got {cap}"])
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, repetitions))
-
-
 def run_experiment(config: ExperimentConfig, policy_factory=None) -> list:
-    """Run every repetition; results are ordered by repetition index."""
+    """Run every repetition in order on the calling thread; result i is repetition i."""
     errors = config.validate()
     if errors:
         raise ConfigError(errors)
@@ -409,15 +408,8 @@ def run_experiment(config: ExperimentConfig, policy_factory=None) -> list:
             dataset = environments.load_csv(env.dataset_path, env.label_column, env.num_classes)
         except (ValueError, OSError) as exc:
             raise ConfigError([f"environment.dataset_path: {exc}"]) from None
-    reps = config.repetitions
-    workers = _worker_count(reps)
-    if workers == 1:
-        return [run_single(config, rep, dataset=dataset, policy_factory=policy_factory)
-                for rep in range(reps)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_single, config, rep, dataset, policy_factory)
-                   for rep in range(reps)]
-        return [f.result() for f in futures]
+    return [run_single(config, rep, dataset=dataset, policy_factory=policy_factory)
+            for rep in range(config.repetitions)]
 
 
 @dataclass

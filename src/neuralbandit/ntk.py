@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from neuralbandit.network import NetworkParams, gradient_batch
+from neuralbandit.network import NetworkParams, check_real, gradient_batch
 
 __all__ = [
     "GramMatrix",
@@ -127,6 +127,7 @@ def effective_dimension(h, lam: float, tk: int) -> float:
     sub-sampled context sets while keeping the full-horizon normalizer.
     """
     h = _check_gram(h)
+    check_real("lam", lam)
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
     if tk < 1:

@@ -76,6 +76,9 @@ class TestRun:
         pytest.param({}, {"lam": math.nan}, {}, "policy.lam", id="nan-lam"),
         pytest.param({}, {"eta": "0.1"}, {}, "policy.eta", id="string-eta"),
         pytest.param({}, {}, {"base_seed": True}, "base_seed", id="bool-base-seed"),
+        pytest.param({}, {"preprocess": "false"}, {}, "policy.preprocess",
+                     id="string-preprocess"),
+        pytest.param({"shuffle": "no"}, {}, {}, "environment.shuffle", id="string-shuffle"),
     ])
     def test_invalid_config_exits_one_naming_field(self, tmp_path, capsys,
                                                    environment, policy, top, field_name):
@@ -190,11 +193,23 @@ class TestNtk:
                      "--lambda", "1.0", "--tk", "4"]) == 1
         assert "unit-norm" in capsys.readouterr().err
 
-    def test_bad_depth_exits_one(self, tmp_path):
+    @pytest.mark.parametrize("flag,value,message", [
+        pytest.param("--depth", "1", "depth must be >= 2", id="depth-1"),
+        pytest.param("--lambda", "0", "lam must be positive", id="lambda-0"),
+        pytest.param("--lambda", "nan", "lam must be finite", id="lambda-nan"),
+        pytest.param("--lambda", "inf", "lam must be finite", id="lambda-inf"),
+        pytest.param("--tk", "0", "tk must be >= 1", id="tk-0"),
+    ])
+    def test_bad_depth_exits_one(self, tmp_path, capsys, flag, value, message):
         contexts = tmp_path / "ctx.csv"
         contexts.write_text("1,0\n", encoding="utf-8")
-        assert main(["ntk", "--contexts", str(contexts), "--depth", "1",
-                     "--lambda", "1.0", "--tk", "4"]) == 1
+        argv = ["ntk", "--contexts", str(contexts), "--depth", "2", "--lambda", "1.0",
+                "--tk", "4"]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "effective_dimension" not in captured.out
 
 
 class TestCheck:

@@ -69,19 +69,14 @@ class TestRunExperiment:
             assert np.allclose(res.cum_regret, np.cumsum(res.instant_regret), atol=0)
             assert np.all(np.diff(res.cum_regret) >= 0.0)
 
-    def test_parallel_matches_sequential(self, monkeypatch):
-        config = linear_linucb_config(reps=4)
-        monkeypatch.setenv("NEURAL_BANDIT_THREADS", "1")
-        sequential = run_experiment(config)
-        monkeypatch.setenv("NEURAL_BANDIT_THREADS", "4")
-        parallel = run_experiment(config)
-        for a, b in zip(sequential, parallel):
+    def test_repetition_does_not_depend_on_the_others(self):
+        config = dataclasses.replace(tiny_neural_config(), repetitions=4)
+        four = run_experiment(config)
+        two = run_experiment(dataclasses.replace(config, repetitions=2))
+        for a, b in zip(four[:2], two, strict=True):
+            assert a.seed == b.seed
             assert np.array_equal(a.instant_regret, b.instant_regret)
-
-    def test_thread_env_var_validated(self, monkeypatch):
-        monkeypatch.setenv("NEURAL_BANDIT_THREADS", "zero")
-        with pytest.raises(ConfigError, match="NEURAL_BANDIT_THREADS"):
-            run_experiment(linear_linucb_config())
+            assert np.array_equal(a.cum_regret, b.cum_regret)
 
     def test_validation_errors_are_exhaustive(self):
         config = ExperimentConfig(
@@ -220,6 +215,62 @@ class TestValidation:
         errors = policy_errors(algorithm, field_name, value)
         assert len(errors) == 1 and f"policy.{field_name}" in errors[0], errors
         assert message in errors[0]
+
+    @pytest.mark.parametrize("algorithm", FIELDS_READ)
+    @pytest.mark.parametrize("value", ["false", 0, 1])
+    def test_non_bool_preprocess_is_named(self, algorithm, value):
+        errors = policy_errors(algorithm, "preprocess", value)
+        assert errors == [f"policy.preprocess: must be true or false, got {value!r}"]
+
+    @pytest.mark.parametrize("kind", ["h1", "dataset"])
+    def test_non_bool_shuffle_is_named(self, kind, tmp_path):
+        path = tmp_path / "tiny.csv"
+        path.write_text("a,b,label\n1,2,x\n3,4,y\n", encoding="utf-8")
+        env = EnvironmentConfig(kind=kind, horizon=1, dataset_path=str(path),
+                                label_column="label", shuffle="no")
+        errors = ExperimentConfig(environment=env, policy=PolicyConfig(algorithm="random"),
+                                  repetitions=1).validate()
+        assert errors == ["environment.shuffle: must be true or false, got 'no'"]
+
+    @pytest.mark.parametrize("policy_fields,field_name,message", [
+        # inherited from the policy: named as the policy field
+        pytest.param({"nu": math.nan}, "policy.nu", "must be finite", id="policy-nan-nu"),
+        pytest.param({"nu": 0.0}, "policy.nu", "must be positive", id="policy-zero-nu"),
+        pytest.param({"delta": 2.0}, "policy.delta", "must lie in (0, 1)", id="policy-delta"),
+        pytest.param({"s_norm": "1"}, "policy.s_norm", "must be a real number",
+                     id="policy-string-s-norm"),
+        pytest.param({"lam": math.inf}, "policy.lam", "must be finite", id="policy-inf-lam"),
+        pytest.param({"eta": math.nan}, "policy.eta", "must be finite", id="policy-nan-eta"),
+        pytest.param({"j_steps": -1}, "policy.j_steps", "must be >= 0", id="policy-j-steps"),
+        # given in the mapping: named as gamma_inputs
+        pytest.param({"gamma_inputs": {"nu": math.nan}}, "policy.gamma_inputs",
+                     "nu must be finite", id="mapping-nan-nu"),
+        pytest.param({"gamma_inputs": {"delta": 2.0}}, "policy.gamma_inputs",
+                     "delta must lie in (0, 1)", id="mapping-delta"),
+        pytest.param({"gamma_inputs": {"depth": 1}}, "policy.gamma_inputs",
+                     "depth must be >= 2", id="mapping-depth"),
+        pytest.param({"gamma_inputs": {"c1": -1.0}}, "policy.gamma_inputs", "c1, c2, c3",
+                     id="mapping-c1"),
+        pytest.param({"gamma_inputs": {"eta": 1.0}}, "policy.gamma_inputs", "eta*width*lam",
+                     id="mapping-step-too-large"),
+        pytest.param({"gamma_inputs": {"kappa": 1.0}}, "policy.gamma_inputs", "kappa",
+                     id="mapping-unknown-key"),
+        pytest.param({"gamma_inputs": [1.0]}, "policy.gamma_inputs", "must be a mapping",
+                     id="not-a-mapping"),
+        # the mapping's own value replaces a bad policy value
+        pytest.param({"nu": math.nan, "gamma_inputs": {"nu": -1.0}}, "policy.gamma_inputs",
+                     "nu must be positive", id="mapping-overrides-policy"),
+    ])
+    def test_gamma_inputs_error_names_the_source_of_the_value(self, policy_fields,
+                                                              field_name, message):
+        fields = {"gamma_inputs": {}, **policy_fields}
+        config = ExperimentConfig(
+            environment=EnvironmentConfig(kind="h1", dimension=4, horizon=5),
+            policy=PolicyConfig(algorithm="neural_ucb", **fields), repetitions=1,
+        )
+        errors = config.validate()
+        assert len(errors) == 1 and errors[0].startswith(field_name), errors
+        assert message in errors[0], errors
 
 
 class TestEmitResults:
