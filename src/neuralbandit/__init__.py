@@ -49,7 +49,6 @@ from neuralbandit.environments import (
     SyntheticBandit,
     DatasetBandit,
     sample_unit_ball,
-    preprocess_context,
     preprocess_batch,
     load_csv,
 )

@@ -146,10 +146,6 @@ class DesignMatrix:
             return np.diag(1.0 / self._diag)
         return _symmetric_copy(self._z_inv)
 
-    @property
-    def updates(self) -> int:
-        return self._updates
-
 
 def _scaled_identity(dim: int, value: float) -> np.ndarray:
     """value * I as a Fortran-ordered array, built without p x p temporaries."""
@@ -165,9 +161,11 @@ def _symmetric_copy(upper: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GammaInputs:
-    """Knobs of the theoretical exploration width.
+    """Inputs of the theoretical exploration width.
 
-    c1, c2, c3 are the absolute constants of the width formula; they are
+    All but c1, c2, c3 are the network's and the regression's own settings
+    (width m, depth L, lam, eta, J) and the confidence parameters nu, delta,
+    S.  c1, c2, c3 are the absolute constants of the width formula; they are
     proved to exist but never pinned down, so they are user-supplied and
     default to 1.  j_steps may be math.inf to switch the geometric
     optimization-error term off.

@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "sample_unit_ball",
-    "preprocess_context",
     "preprocess_batch",
     "SyntheticBandit",
     "DatasetBandit",
@@ -39,24 +38,12 @@ def sample_unit_ball(d: int, rng: np.random.Generator) -> np.ndarray:
     return (rng.random() ** (1.0 / d) / norm) * g
 
 
-def preprocess_context(x) -> np.ndarray:
-    """Normalize x to unit length, then stack two copies scaled by 1/sqrt(2).
-
-    The output is a unit vector with identical halves, so a block-symmetric
-    network evaluates to exactly zero on it at initialization.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"context must be 1-d, got shape {x.shape}")
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
-        raise ValueError("cannot preprocess the zero vector")
-    unit = x / norm
-    return np.concatenate([unit, unit]) / np.sqrt(2.0)
-
-
 def preprocess_batch(contexts) -> np.ndarray:
-    """preprocess_context applied to every row."""
+    """Normalize each row to unit length, then stack two copies scaled by 1/sqrt(2).
+
+    Each output row is a unit vector with identical halves, so a
+    block-symmetric network evaluates to exactly zero on it at initialization.
+    """
     x = np.asarray(contexts, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"contexts must be 2-d, got shape {x.shape}")
@@ -98,10 +85,6 @@ class SyntheticBandit:
         self.a = sample_unit_ball(d, secret)
         self.a_mat = secret.standard_normal((d, d)) if kind == "h2" else None
 
-    @property
-    def rounds_available(self) -> float:
-        return np.inf
-
     def next_round(self) -> np.ndarray:
         return np.stack([sample_unit_ball(self.d, self.rng)
                          for _ in range(self.num_actions)])
@@ -126,12 +109,12 @@ class DatasetBandit:
 
     Row features are unit-normalized and placed in arm a's block of a
     length d*k context; choosing the true label pays 1, anything else 0.
-    Rows are visited in shuffle order and the horizon cannot exceed the
-    number of rows.
+    Rows are visited in an order drawn from rng, or in file order when rng is
+    None, and the horizon cannot exceed the number of rows.
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, num_classes: int,
-                 rng: np.random.Generator | None = None, shuffle: bool = True):
+                 rng: np.random.Generator | None = None):
         features = np.asarray(features, dtype=np.float64)
         labels = np.asarray(labels)
         if features.ndim != 2:
@@ -159,12 +142,8 @@ class DatasetBandit:
         self.labels = labels.astype(int)
         self.num_classes = num_classes
         self.noise_scale = 0.0
-        order = np.arange(features.shape[0])
-        if shuffle:
-            if rng is None:
-                raise ValueError("shuffle=True needs an rng")
-            order = rng.permutation(features.shape[0])
-        self.order = order
+        n = features.shape[0]
+        self.order = np.arange(n) if rng is None else rng.permutation(n)
         self._cursor = 0
 
     @property
@@ -174,10 +153,6 @@ class DatasetBandit:
     @property
     def num_actions(self) -> int:
         return self.num_classes
-
-    @property
-    def rounds_available(self) -> int:
-        return self.features.shape[0]
 
     def next_round(self) -> np.ndarray:
         if self._cursor >= self.features.shape[0]:

@@ -42,7 +42,7 @@ __all__ = [
     "emit_grid_table",
 ]
 
-GRID_CAP_DEFAULT = 256
+GRID_CAP = 256
 
 NEURAL_ALGORITHMS = ("neural_ucb", "neural_greedy", "neural_ucb0", "neural_greedy0")
 ALGORITHMS = NEURAL_ALGORITHMS + ("lin_ucb", "kernel_ucb", "random")
@@ -61,6 +61,13 @@ def _flag_errors(name, value) -> list:
     """The error for a field that must be true or false."""
     if not isinstance(value, bool):
         return [f"{name}: must be true or false, got {value!r}"]
+    return []
+
+
+def _string_errors(name, value) -> list:
+    """The error for an optional field that must be a string when given."""
+    if value is not None and not isinstance(value, str):
+        return [f"{name}: must be a string, got {value!r}"]
     return []
 
 
@@ -91,6 +98,10 @@ class EnvironmentConfig:
             errors.append(f"environment.kind: unknown kind {self.kind!r}, choose from {kinds}")
         errors += _count_errors("environment.horizon", self.horizon, 1)
         errors += _flag_errors("environment.shuffle", self.shuffle)
+        errors += _string_errors("environment.dataset_path", self.dataset_path)
+        errors += _string_errors("environment.label_column", self.label_column)
+        if self.num_classes is not None:
+            errors += _count_errors("environment.num_classes", self.num_classes, 2)
         if isinstance(self.noise_scale, bool) or not isinstance(self.noise_scale, numbers.Real):
             errors.append(f"environment.noise_scale: must be a number, got {self.noise_scale!r}")
         elif not 0 <= self.noise_scale < math.inf:
@@ -99,7 +110,7 @@ class EnvironmentConfig:
         if self.kind == "dataset":
             if not self.dataset_path:
                 errors.append("environment.dataset_path: required for dataset environments")
-            elif not Path(self.dataset_path).is_file():
+            elif isinstance(self.dataset_path, str) and not Path(self.dataset_path).is_file():
                 errors.append(f"environment.dataset_path: no such file {self.dataset_path!r}")
             if not self.label_column:
                 errors.append("environment.label_column: required for dataset environments")
@@ -117,10 +128,11 @@ class PolicyConfig:
     depth: int = 2
     lam: float = 1.0
     design_mode: str = "full"
-    refresh_every: int = 512
     preprocess: bool | None = None  # None: on for neural algorithms, off otherwise
     # exploration
     gamma: float | None = 0.1
+    # c1, c2, c3 of the theoretical width, which replaces gamma when given; the
+    # formula's other inputs are this policy's own fields
     gamma_inputs: dict | None = None
     epsilon: float = 0.1
     alpha: float = 1.0
@@ -153,12 +165,8 @@ class ExperimentConfig:
     output: str | None = None
 
     def validate(self) -> list:
-        errors = self.environment.validate() + _policy_errors(self)
-        errors += _count_errors("repetitions", self.repetitions, 1)
-        if isinstance(self.base_seed, bool) or not isinstance(self.base_seed, int) \
-                or self.base_seed < 0:
-            errors.append(f"base_seed: must be a non-negative integer, got {self.base_seed!r}")
-        return errors
+        """Every problem with the config; a dataset environment's CSV is read."""
+        return _checked(self)[1]
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -202,33 +210,24 @@ def _dataclass_from_dict(cls, data, prefix, errors):
         return cls()
 
 
-# the GammaInputs fields a gamma_inputs mapping inherits from the policy when it omits them
-_INHERITED_GAMMA_FIELDS = ("nu", "delta", "s_norm", "lam", "width", "depth", "eta", "j_steps")
+def _gamma_inputs(policy: PolicyConfig) -> GammaInputs:
+    """The width formula's inputs: the policy's own fields and its c1, c2, c3.
 
-
-def _gamma_inputs_from_dict(policy: PolicyConfig, data: dict) -> GammaInputs:
-    """GammaInputs from the gamma_inputs mapping, defaulting to the policy's fields.
-
-    A rejected value inherited from the policy raises the constructor's own
-    message, which starts with the field's name; one from the mapping raises
-    it prefixed with gamma_inputs.
+    A rejected value raises the constructor's message, which starts with the
+    policy field it came from, or with the constant that _RENAMED_FIELDS
+    maps to gamma_inputs.
     """
-    if not isinstance(data, dict):
-        raise ValueError(f"gamma_inputs: must be a mapping, got {data!r}")
-    data = dict(data)
-    if isinstance(data.get("j_steps"), str) and data["j_steps"].lower() in ("inf", "infinity"):
-        data["j_steps"] = math.inf
-    inherited = {name: getattr(policy, name)
-                 for name in _INHERITED_GAMMA_FIELDS if name not in data}
-    if inherited.get("j_steps", 0) is None:
-        inherited["j_steps"] = math.inf
-    try:
-        return GammaInputs(**inherited, **data)
-    except (TypeError, ValueError) as exc:
-        rejected = re.match(r"(\w+) ", str(exc))
-        if rejected and rejected.group(1) in inherited:
-            raise
-        raise ValueError(f"gamma_inputs: {exc}") from None
+    constants = policy.gamma_inputs
+    if not isinstance(constants, dict):
+        raise ValueError(f"gamma_inputs: must be a mapping of c1, c2, c3, got {constants!r}")
+    for key in constants:
+        if key not in ("c1", "c2", "c3"):
+            inherited = key in {f.name for f in dataclasses.fields(GammaInputs)}
+            hint = f"; set policy.{key} instead" if inherited else ""
+            raise ValueError(f"gamma_inputs: holds only c1, c2, c3, got {key!r}{hint}")
+    j_steps = math.inf if policy.j_steps is None else policy.j_steps
+    return GammaInputs(policy.nu, policy.delta, policy.s_norm, policy.lam, policy.width,
+                       policy.depth, policy.eta, j_steps, **constants)
 
 
 @dataclass
@@ -254,16 +253,10 @@ def _build_environment(cfg: EnvironmentConfig, rng, secret_rng, dataset=None):
     if cfg.kind == "dataset":
         if dataset is None:
             dataset = environments.load_csv(cfg.dataset_path, cfg.label_column, cfg.num_classes)
-        env = environments.DatasetBandit(
+        return environments.DatasetBandit(
             dataset.features, dataset.labels, dataset.num_classes,
-            rng=rng if cfg.shuffle else None, shuffle=cfg.shuffle,
+            rng=rng if cfg.shuffle else None,
         )
-        if cfg.horizon > env.rounds_available:
-            raise ConfigError([
-                f"environment.horizon: {cfg.horizon} exceeds the dataset's "
-                f"{env.rounds_available} rows"
-            ])
-        return env
     return environments.SyntheticBandit(
         cfg.kind, cfg.dimension, cfg.num_actions, cfg.noise_scale, rng,
         secret_rng=secret_rng,
@@ -293,27 +286,23 @@ def _build_policy(cfg: PolicyConfig, env, rng):
     shape = _network_shape(cfg, raw_dim)
     if algo == "neural_ucb":
         if cfg.gamma_inputs is not None:
-            width = functools.partial(gamma_theoretical,
-                                      _gamma_inputs_from_dict(cfg, cfg.gamma_inputs))
+            width = functools.partial(gamma_theoretical, _gamma_inputs(cfg))
         else:
             width = ConstantWidth(cfg.gamma)
         train = _training_config(cfg)
         return policies.NeuralUCB(shape, cfg.lam, width, rng, train=train,
-                                  design_mode=cfg.design_mode,
-                                  refresh_every=cfg.refresh_every)
+                                  design_mode=cfg.design_mode)
     if algo == "neural_greedy":
         train = _training_config(cfg)
         return policies.NeuralEpsilonGreedy(shape, cfg.lam, cfg.epsilon, rng, train=train)
     if algo == "neural_ucb0":
         width = RidgeWidth(cfg.nu, cfg.delta, cfg.s_norm, cfg.lam)
         return policies.NeuralUCB0(*policies.gradient_feature_map(shape, rng), cfg.lam, width,
-                                   design_mode=cfg.design_mode,
-                                   refresh_every=cfg.refresh_every)
+                                   design_mode=cfg.design_mode)
     if algo == "neural_greedy0":
         return policies.NeuralEpsilonGreedy0(*policies.gradient_feature_map(shape, rng),
                                              cfg.lam, cfg.epsilon, rng,
-                                             design_mode=cfg.design_mode,
-                                             refresh_every=cfg.refresh_every)
+                                             design_mode=cfg.design_mode)
     raise ConfigError([f"policy.algorithm: unknown algorithm {algo!r}"])
 
 
@@ -324,13 +313,38 @@ def _training_config(cfg: PolicyConfig) -> policies.TrainingConfig:
     )
 
 
+def _checked(config: ExperimentConfig) -> tuple:
+    """(the dataset environment's loaded CSV or None, every config problem)."""
+    env = config.environment
+    errors = env.validate()
+    dataset = None
+    if env.kind == "dataset" and not errors:
+        try:
+            dataset = environments.load_csv(env.dataset_path, env.label_column, env.num_classes)
+        except (ValueError, OSError) as exc:
+            errors.append(f"environment.dataset_path: {exc}")
+        else:
+            rows = dataset.features.shape[0]
+            if env.horizon > rows:
+                errors.append(f"environment.horizon: {env.horizon} exceeds the dataset's "
+                              f"{rows} rows")
+    errors += _policy_errors(config, dataset)
+    errors += _count_errors("repetitions", config.repetitions, 1)
+    if isinstance(config.base_seed, bool) or not isinstance(config.base_seed, int) \
+            or config.base_seed < 0:
+        errors.append(f"base_seed: must be a non-negative integer, got {config.base_seed!r}")
+    errors += _string_errors("output", config.output)
+    return dataset, errors
+
+
 _POLICY_FIELDS = frozenset(f.name for f in dataclasses.fields(PolicyConfig))
 # constructor parameters whose PolicyConfig field has another name
 _RENAMED_FIELDS = {"input_dim": "preprocess", "mode": "design_mode",
-                   "bandwidth": "kernel_bandwidth", "beta": "kernel_beta", "cap": "kernel_cap"}
+                   "bandwidth": "kernel_bandwidth", "beta": "kernel_beta", "cap": "kernel_cap",
+                   "c1": "gamma_inputs", "c2": "gamma_inputs", "c3": "gamma_inputs"}
 
 
-def _policy_errors(config: ExperimentConfig) -> list:
+def _policy_errors(config: ExperimentConfig, dataset) -> list:
     """Build the policy a run would build and report what its constructors reject.
 
     Constructor messages start with the parameter they reject, which names
@@ -340,10 +354,15 @@ def _policy_errors(config: ExperimentConfig) -> list:
     policy, env = config.policy, config.environment
     if policy.algorithm not in ALGORITHMS:
         return [f"policy.algorithm: unknown algorithm {policy.algorithm!r}, choose from {ALGORITHMS}"]
-    # a dataset's dimension is known only once its file is read, and a bad
-    # synthetic one is an environment error; 2 passes every dimension check
-    usable = env.kind != "dataset" and not _count_errors("", env.dimension, 1)
-    raw_dim = env.dimension if usable else 2
+    # a dataset's contexts put one feature block per class (the disjoint
+    # model); an unread dataset or a bad synthetic dimension is an environment
+    # error, and 2 stands in for it since it passes every dimension check
+    if dataset is not None:
+        raw_dim = dataset.features.shape[1] * dataset.num_classes
+    elif env.kind != "dataset" and not _count_errors("", env.dimension, 1):
+        raw_dim = env.dimension
+    else:
+        raw_dim = 2
     # checked for every algorithm, since kernel_ucb and random never read it; a
     # non-bool leaves the input dimension unknown, so nothing is built
     if policy.preprocess is not None and not isinstance(policy.preprocess, bool):
@@ -398,16 +417,9 @@ def run_single(config: ExperimentConfig, rep: int, dataset=None,
 
 def run_experiment(config: ExperimentConfig, policy_factory=None) -> list:
     """Run every repetition in order on the calling thread; result i is repetition i."""
-    errors = config.validate()
+    dataset, errors = _checked(config)
     if errors:
         raise ConfigError(errors)
-    dataset = None
-    env = config.environment
-    if env.kind == "dataset":
-        try:
-            dataset = environments.load_csv(env.dataset_path, env.label_column, env.num_classes)
-        except (ValueError, OSError) as exc:
-            raise ConfigError([f"environment.dataset_path: {exc}"]) from None
     return [run_single(config, rep, dataset=dataset, policy_factory=policy_factory)
             for rep in range(config.repetitions)]
 
@@ -437,14 +449,16 @@ def _apply_override(config: ExperimentConfig, path: str, value) -> ExperimentCon
     raise ConfigError([f"grid: unknown parameter path {path!r}"])
 
 
-def grid_search(config: ExperimentConfig, grid: dict, cap: int = GRID_CAP_DEFAULT):
+def grid_search(config: ExperimentConfig, grid: dict):
     """Evaluate the cross product of a parameter grid.
 
-    Returns (best_config, table).  Best is the combination with the lowest
-    mean final cumulative regret; ties go to the earliest combination in
-    declared order.  A combination whose training diverges is kept in the
-    table with nan statistics and does not stop the others; if every one
-    diverges, the first divergence is raised.
+    Returns (best_config, table).  Every combination is validated before any
+    runs, and the problems of each invalid one are raised together, named by
+    its overrides.  Best is the combination with the lowest mean final
+    cumulative regret; ties go to the earliest combination in declared order.
+    A combination whose training diverges is kept in the table with nan
+    statistics and does not stop the others; if every one diverges, the
+    first divergence is raised.
     """
     if not grid:
         raise ConfigError(["grid: must contain at least one parameter"])
@@ -452,18 +466,25 @@ def grid_search(config: ExperimentConfig, grid: dict, cap: int = GRID_CAP_DEFAUL
         if not isinstance(values, (list, tuple)) or not values:
             raise ConfigError([f"grid: values for {path!r} must be a nonempty list"])
     size = math.prod(len(v) for v in grid.values())
-    if size > cap:
-        raise ConfigError([f"grid: cross product has {size} combinations, cap is {cap}"])
+    if size > GRID_CAP:
+        raise ConfigError([f"grid: cross product has {size} combinations, cap is {GRID_CAP}"])
     paths = list(grid)
-    table = []
-    best = None
-    best_config = None
-    first_error = None
+    combos = []
+    errors = []
     for combo in itertools.product(*(grid[p] for p in paths)):
         cfg = config
         for path, value in zip(paths, combo):
             cfg = _apply_override(cfg, path, value)
         overrides = dict(zip(paths, combo))
+        errors += [f"grid {overrides}: {e}" for e in cfg.validate()]
+        combos.append((overrides, cfg))
+    if errors:
+        raise ConfigError(errors)
+    table = []
+    best = None
+    best_config = None
+    first_error = None
+    for overrides, cfg in combos:
         try:
             finals = np.array([r.final_regret for r in run_experiment(cfg)])
             entry = GridEntry(overrides, float(finals.mean()), float(finals.std()))

@@ -181,7 +181,7 @@ class _TrainedNetwork:
     """Shared bookkeeping for policies that retrain a reward network online."""
 
     def __init__(self, shape: NetworkShape, lam: float, rng: np.random.Generator,
-                 train: TrainingConfig, init=init_symmetric):
+                 train: TrainingConfig):
         check_real("lam", lam)
         if lam <= 0:
             raise ValueError(f"lam must be positive, got {lam}")
@@ -189,7 +189,7 @@ class _TrainedNetwork:
         self.lam = lam
         self.rng = rng
         self.train_config = train
-        self.theta0 = init(shape, rng)
+        self.theta0 = init_symmetric(shape, rng)
         self.theta = self.theta0
         self.history = []
 
@@ -220,11 +220,10 @@ class NeuralUCB(_TrainedNetwork):
     at the pre-update parameters.
     """
 
-    def __init__(self, shape, lam, width, rng, train=TrainingConfig(),
-                 design_mode="full", refresh_every=512):
-        super().__init__(shape, lam, rng, train, init=init_symmetric)
+    def __init__(self, shape, lam, width, rng, train=TrainingConfig(), design_mode="full"):
+        super().__init__(shape, lam, rng, train)
         self.width_provider = width
-        self.design = DesignMatrix(shape.num_params, lam, design_mode, refresh_every)
+        self.design = DesignMatrix(shape.num_params, lam, design_mode)
         self.gamma = width(0, 0.0)
 
     def _scaled_gradients(self, contexts) -> np.ndarray:
@@ -251,7 +250,7 @@ class NeuralEpsilonGreedy(_TrainedNetwork):
 
     def __init__(self, shape, lam, epsilon, rng, train=TrainingConfig()):
         _check_epsilon(epsilon)
-        super().__init__(shape, lam, rng, train, init=init_symmetric)
+        super().__init__(shape, lam, rng, train)
         self.epsilon = epsilon
 
     def select(self, contexts):
@@ -276,11 +275,10 @@ def gradient_feature_map(shape: NetworkShape, rng: np.random.Generator):
 class _FrozenFeatureRidge:
     """Online ridge regression on a frozen feature map phi."""
 
-    def __init__(self, feature_map, feature_dim, lam, design_mode="full",
-                 refresh_every=512):
+    def __init__(self, feature_map, feature_dim, lam, design_mode="full"):
         self.feature_map = feature_map
         self.lam = lam
-        self.design = DesignMatrix(feature_dim, lam, design_mode, refresh_every)
+        self.design = DesignMatrix(feature_dim, lam, design_mode)
         self.b = np.zeros(feature_dim)
         self.theta_offset = np.zeros(feature_dim)
         self.t = 0
@@ -306,9 +304,8 @@ class NeuralUCB0(_FrozenFeatureRidge):
     map and a constant width it is LinUCB.
     """
 
-    def __init__(self, feature_map, feature_dim, lam, width, design_mode="full",
-                 refresh_every=512):
-        super().__init__(feature_map, feature_dim, lam, design_mode, refresh_every)
+    def __init__(self, feature_map, feature_dim, lam, width, design_mode="full"):
+        super().__init__(feature_map, feature_dim, lam, design_mode)
         self.width_provider = width
         self.gamma = width(0, 0.0)
 
@@ -324,10 +321,9 @@ class NeuralUCB0(_FrozenFeatureRidge):
 class NeuralEpsilonGreedy0(_FrozenFeatureRidge):
     """Epsilon-greedy on the frozen-feature ridge predictions."""
 
-    def __init__(self, feature_map, feature_dim, lam, epsilon, rng, design_mode="full",
-                 refresh_every=512):
+    def __init__(self, feature_map, feature_dim, lam, epsilon, rng, design_mode="full"):
         _check_epsilon(epsilon)
-        super().__init__(feature_map, feature_dim, lam, design_mode, refresh_every)
+        super().__init__(feature_map, feature_dim, lam, design_mode)
         self.epsilon = epsilon
         self.rng = rng
 

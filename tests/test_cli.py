@@ -58,15 +58,12 @@ class TestRun:
         pytest.param({"dimension": 5}, {"preprocess": False}, {}, "policy.preprocess",
                      id="odd-dimension-unpreprocessed"),
         pytest.param({}, {"gamma_inputs": {"eta": 1.0}}, {}, "policy.gamma_inputs",
-                     id="gamma-inputs-step-too-large"),
-        pytest.param({}, {"refresh_every": 0}, {}, "policy.refresh_every", id="refresh-every"),
+                     id="gamma-inputs-policy-field"),
         pytest.param({}, {}, {"repetitions": "2"}, "repetitions", id="string-repetitions"),
         pytest.param({"horizon": 5.5}, {}, {}, "environment.horizon", id="fractional-horizon"),
         pytest.param({"num_actions": 2.5}, {}, {}, "environment.num_actions",
                      id="fractional-num-actions"),
         pytest.param({}, {"cadence": 2.5}, {}, "policy.cadence", id="fractional-cadence"),
-        pytest.param({}, {"refresh_every": 2.5}, {}, "policy.refresh_every",
-                     id="fractional-refresh-every"),
         pytest.param({}, {"depth": 2.5}, {}, "policy.depth", id="fractional-depth"),
         pytest.param({"noise_scale": "0.5"}, {}, {}, "environment.noise_scale",
                      id="string-noise-scale"),
@@ -79,6 +76,11 @@ class TestRun:
         pytest.param({}, {"preprocess": "false"}, {}, "policy.preprocess",
                      id="string-preprocess"),
         pytest.param({"shuffle": "no"}, {}, {}, "environment.shuffle", id="string-shuffle"),
+        pytest.param({}, {}, {"output": 5}, "output", id="int-output"),
+        pytest.param({"kind": "dataset", "dataset_path": 5, "label_column": "label"}, {}, {},
+                     "environment.dataset_path", id="int-dataset-path"),
+        pytest.param({"num_classes": "3"}, {}, {}, "environment.num_classes",
+                     id="string-num-classes"),
     ])
     def test_invalid_config_exits_one_naming_field(self, tmp_path, capsys,
                                                    environment, policy, top, field_name):
@@ -105,6 +107,21 @@ class TestRun:
         )
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         assert "environment.dataset_path" in capsys.readouterr().err
+
+    def test_dataset_policy_is_checked_against_the_context_dimension(self, tmp_path, capsys):
+        # 3 features and 3 classes give 9-dimensional contexts, which the
+        # symmetric network cannot take unpreprocessed
+        dataset = tmp_path / "data.csv"
+        dataset.write_text("a,b,c,label\n1,2,3,x\n4,5,6,y\n7,8,9,z\n", encoding="utf-8")
+        config = write_config(
+            tmp_path,
+            environment={"kind": "dataset", "dataset_path": str(dataset),
+                         "label_column": "label", "horizon": 3},
+            policy={"algorithm": "neural_ucb", "width": 4, "preprocess": False},
+        )
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "policy.preprocess" in err and "got 9" in err
 
     def test_missing_output_location_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path)

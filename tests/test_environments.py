@@ -10,7 +10,6 @@ from neuralbandit.environments import (
     SyntheticBandit,
     load_csv,
     preprocess_batch,
-    preprocess_context,
     sample_unit_ball,
 )
 
@@ -42,32 +41,32 @@ class TestSampleUnitBall:
 
 class TestPreprocess:
     def test_unit_vector_example(self):
-        out = preprocess_context(np.array([1.0, 0.0]))
-        assert np.allclose(out, np.array([1, 0, 1, 0]) / np.sqrt(2), atol=1e-15)
+        out = preprocess_batch(np.array([[1.0, 0.0]]))
+        assert np.allclose(out, np.array([[1, 0, 1, 0]]) / np.sqrt(2), atol=1e-15)
 
     def test_normalizes_before_duplicating(self):
-        out = preprocess_context(np.array([3.0, 4.0]))
-        assert np.allclose(out, np.array([0.6, 0.8, 0.6, 0.8]) / np.sqrt(2), atol=1e-15)
+        out = preprocess_batch(np.array([[3.0, 4.0]]))
+        assert np.allclose(out, np.array([[0.6, 0.8, 0.6, 0.8]]) / np.sqrt(2), atol=1e-15)
 
     @given(st.integers(0, 10_000), st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
     def test_output_is_unit_norm_with_equal_halves(self, seed, d):
-        x = np.random.default_rng(seed).standard_normal(d)
-        out = preprocess_context(x)
-        assert out.size == 2 * d
-        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-10)
-        assert np.array_equal(out[:d], out[d:])
+        x = np.random.default_rng(seed).standard_normal((1, d))
+        out = preprocess_batch(x)
+        assert out.shape == (1, 2 * d)
+        assert np.linalg.norm(out[0]) == pytest.approx(1.0, abs=1e-10)
+        assert np.array_equal(out[0, :d], out[0, d:])
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            preprocess_context(np.zeros(3))
+            preprocess_batch(np.zeros((1, 3)))
         with pytest.raises(ValueError):
             preprocess_batch(np.zeros((2, 3)))
 
     def test_batch_matches_single(self):
         x = np.random.default_rng(103).standard_normal((5, 3))
         batch = preprocess_batch(x)
-        for row, single in zip(batch, (preprocess_context(r) for r in x)):
+        for row, single in zip(batch, (preprocess_batch(r[None, :])[0] for r in x)):
             assert np.allclose(row, single, atol=1e-15)
 
 
@@ -134,7 +133,7 @@ class TestDatasetBandit:
     def test_disjoint_embedding_example(self):
         features = np.array([[0.5, 0.5]])
         labels = np.array([1])
-        env = DatasetBandit(features, labels, 2, shuffle=False)
+        env = DatasetBandit(features, labels, 2)
         contexts = env.next_round()
         s = 1.0 / np.sqrt(2.0)
         assert np.allclose(contexts[0], [s, s, 0, 0], atol=1e-15)
@@ -145,7 +144,7 @@ class TestDatasetBandit:
     def test_choosing_true_label_has_zero_regret(self):
         rng = np.random.default_rng(108)
         env = DatasetBandit(rng.standard_normal((10, 3)), rng.integers(0, 4, 10), 4,
-                            rng=rng, shuffle=True)
+                            rng=rng)
         contexts = env.next_round()
         means = env.mean_rewards(contexts)
         best = int(np.argmax(means))
@@ -179,16 +178,16 @@ class TestDatasetBandit:
     def test_zero_feature_rows_replaced_with_warning(self):
         features = np.array([[0.0, 0.0], [1.0, 0.0]])
         with pytest.warns(UserWarning, match="zero feature row"):
-            env = DatasetBandit(features, np.array([0, 1]), 2, shuffle=False)
+            env = DatasetBandit(features, np.array([0, 1]), 2)
         contexts = env.next_round()
         assert np.allclose(contexts[0][:2], [1.0, 0.0])
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            DatasetBandit(np.ones((2, 2)), np.array([0, 5]), 3, shuffle=False)
+            DatasetBandit(np.ones((2, 2)), np.array([0, 5]), 3)
 
     def test_exhaustion_raises(self):
-        env = DatasetBandit(np.ones((2, 2)), np.array([0, 1]), 2, shuffle=False)
+        env = DatasetBandit(np.ones((2, 2)), np.array([0, 1]), 2)
         env.next_round()
         env.next_round()
         with pytest.raises(RuntimeError, match="exhausted"):
@@ -198,10 +197,10 @@ class TestDatasetBandit:
         rng = np.random.default_rng(112)
         features = np.arange(12, dtype=float).reshape(6, 2) + 1.0
         labels = np.arange(6) % 2
-        plain = DatasetBandit(features, labels, 2, shuffle=False)
-        shuffled = DatasetBandit(features, labels, 2, rng=np.random.default_rng(4),
-                                 shuffle=True)
-        assert sorted(shuffled.order.tolist()) == sorted(plain.order.tolist())
+        plain = DatasetBandit(features, labels, 2)
+        shuffled = DatasetBandit(features, labels, 2, rng=np.random.default_rng(4))
+        assert plain.order.tolist() == list(range(6))
+        assert sorted(shuffled.order.tolist()) == plain.order.tolist()
 
 
 class TestLoadCsv:
@@ -245,6 +244,6 @@ class TestLoadCsv:
         path = self.write(tmp_path, "a,label\n1,u\n2,v\n3,u\n4,v\n")
         ds = load_csv(path, "label")
         env = DatasetBandit(ds.features, ds.labels, ds.num_classes,
-                            rng=np.random.default_rng(6), shuffle=True)
+                            rng=np.random.default_rng(6))
         visited = [env.order[i] for i in range(4)]
         assert sorted(visited) == [0, 1, 2, 3]

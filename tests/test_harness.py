@@ -1,12 +1,16 @@
 """Tests for experiment orchestration, grids, and result emission."""
 
 import dataclasses
+import itertools
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from neuralbandit import harness
+from neuralbandit.confidence import GammaInputs, gamma_theoretical
 from neuralbandit.harness import (
     ConfigError,
     EnvironmentConfig,
@@ -143,14 +147,14 @@ class TestRunExperiment:
 # one out-of-range value per PolicyConfig field, and the fields each algorithm reads;
 # preprocess=False is out of range for the odd dimension the test environment uses
 BAD_POLICY_VALUES = {
-    "width": 7, "depth": 1, "lam": 0.0, "design_mode": "sparse", "refresh_every": 0,
-    "preprocess": False, "gamma": None, "gamma_inputs": {"eta": 1.0}, "epsilon": 1.5,
+    "width": 7, "depth": 1, "lam": 0.0, "design_mode": "sparse",
+    "preprocess": False, "gamma": None, "gamma_inputs": {"c1": -1.0}, "epsilon": 1.5,
     "alpha": -1.0, "nu": 0.0, "delta": 1.0, "s_norm": 0.0, "eta": 0.0, "j_steps": -1,
     "batch_size": 0, "cadence": 0, "train_start": -1, "kernel_bandwidth": 0.0,
     "kernel_beta": -1.0, "kernel_cap": 0,
 }
 NETWORK_FIELDS = ("width", "depth", "lam", "preprocess")
-DESIGN_FIELDS = ("design_mode", "refresh_every")
+DESIGN_FIELDS = ("design_mode",)
 TRAINING_FIELDS = ("eta", "j_steps", "batch_size", "cadence", "train_start")
 FIELDS_READ = {
     "neural_ucb": NETWORK_FIELDS + DESIGN_FIELDS + TRAINING_FIELDS + ("gamma", "gamma_inputs"),
@@ -165,7 +169,7 @@ FIELDS_READ = {
 
 # a non-integer value for each integer PolicyConfig field; some pass the range checks
 NON_INTEGER_POLICY_VALUES = {
-    "width": 4.0, "depth": 2.5, "refresh_every": 2.5, "j_steps": 3.0, "batch_size": 2.5,
+    "width": 4.0, "depth": 2.5, "j_steps": 3.0, "batch_size": 2.5,
     "cadence": 2.5, "train_start": True, "kernel_cap": 10.0,
 }
 
@@ -188,6 +192,11 @@ def policy_errors(algorithm, field_name, value):
 
 
 class TestValidation:
+    def test_every_policy_field_is_read_by_some_algorithm(self):
+        read = set(itertools.chain.from_iterable(FIELDS_READ.values()))
+        fields = {f.name for f in dataclasses.fields(PolicyConfig)} - {"algorithm"}
+        assert read == fields == set(BAD_POLICY_VALUES)
+
     @pytest.mark.parametrize("algorithm,field_name", [
         (algorithm, name) for algorithm, names in FIELDS_READ.items() for name in names
     ])
@@ -242,24 +251,21 @@ class TestValidation:
         pytest.param({"lam": math.inf}, "policy.lam", "must be finite", id="policy-inf-lam"),
         pytest.param({"eta": math.nan}, "policy.eta", "must be finite", id="policy-nan-eta"),
         pytest.param({"j_steps": -1}, "policy.j_steps", "must be >= 0", id="policy-j-steps"),
-        # given in the mapping: named as gamma_inputs
-        pytest.param({"gamma_inputs": {"nu": math.nan}}, "policy.gamma_inputs",
-                     "nu must be finite", id="mapping-nan-nu"),
-        pytest.param({"gamma_inputs": {"delta": 2.0}}, "policy.gamma_inputs",
-                     "delta must lie in (0, 1)", id="mapping-delta"),
-        pytest.param({"gamma_inputs": {"depth": 1}}, "policy.gamma_inputs",
-                     "depth must be >= 2", id="mapping-depth"),
+        pytest.param({"eta": 1.0}, "policy.eta", "eta*width*lam", id="policy-step-too-large"),
+        # a constant of the mapping: named as gamma_inputs
         pytest.param({"gamma_inputs": {"c1": -1.0}}, "policy.gamma_inputs", "c1, c2, c3",
                      id="mapping-c1"),
-        pytest.param({"gamma_inputs": {"eta": 1.0}}, "policy.gamma_inputs", "eta*width*lam",
-                     id="mapping-step-too-large"),
-        pytest.param({"gamma_inputs": {"kappa": 1.0}}, "policy.gamma_inputs", "kappa",
+        pytest.param({"gamma_inputs": {"c3": "1"}}, "policy.gamma_inputs",
+                     "c3 must be a real number", id="mapping-string-c3"),
+        # any other key: named as gamma_inputs, pointing at the policy field if there is one
+        pytest.param({"gamma_inputs": {"lam": 5.0}}, "policy.gamma_inputs",
+                     "set policy.lam instead", id="mapping-lam"),
+        pytest.param({"gamma_inputs": {"width": 40}}, "policy.gamma_inputs",
+                     "set policy.width instead", id="mapping-width"),
+        pytest.param({"gamma_inputs": {"kappa": 1.0}}, "policy.gamma_inputs", "'kappa'",
                      id="mapping-unknown-key"),
         pytest.param({"gamma_inputs": [1.0]}, "policy.gamma_inputs", "must be a mapping",
                      id="not-a-mapping"),
-        # the mapping's own value replaces a bad policy value
-        pytest.param({"nu": math.nan, "gamma_inputs": {"nu": -1.0}}, "policy.gamma_inputs",
-                     "nu must be positive", id="mapping-overrides-policy"),
     ])
     def test_gamma_inputs_error_names_the_source_of_the_value(self, policy_fields,
                                                               field_name, message):
@@ -271,6 +277,21 @@ class TestValidation:
         errors = config.validate()
         assert len(errors) == 1 and errors[0].startswith(field_name), errors
         assert message in errors[0], errors
+
+    @pytest.mark.parametrize("fields", [
+        pytest.param({}, id="defaults"),
+        pytest.param({"j_steps": 30, "lam": 0.5, "nu": 0.3, "s_norm": 2.0}, id="policy-fields"),
+        pytest.param({"gamma_inputs": {"c1": 0.5, "c2": 2.0, "c3": 0.0}}, id="constants"),
+    ])
+    def test_gamma_inputs_come_from_the_policy_fields(self, fields):
+        policy = PolicyConfig(algorithm="neural_ucb", width=4, **{"gamma_inputs": {}, **fields})
+        built = harness._build_policy(policy, SimpleNamespace(d=2), np.random.default_rng(0))
+        j_steps = math.inf if policy.j_steps is None else policy.j_steps
+        inputs = GammaInputs(policy.nu, policy.delta, policy.s_norm, policy.lam, policy.width,
+                             policy.depth, policy.eta, j_steps, **policy.gamma_inputs)
+        assert built.gamma == gamma_theoretical(inputs, 0, 0.0)
+        # every input and constant enters the width once t > 0
+        assert built.width_provider(7, 1.5) == gamma_theoretical(inputs, 7, 1.5)
 
 
 class TestEmitResults:
@@ -353,6 +374,39 @@ class TestGridSearch:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             grid_search(linear_linucb_config(), {})
+
+    @staticmethod
+    def _no_run(*args, **kwargs):
+        raise AssertionError("run_single called before the grid was validated")
+
+    def test_invalid_combination_stops_the_grid_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(harness, "run_single", self._no_run)
+        with pytest.raises(ConfigError) as exc_info:
+            grid_search(tiny_neural_config(), {"policy.width": [4, 7],
+                                               "policy.cadence": [10, 0]})
+        errors = exc_info.value.errors
+        assert len(errors) == 3, errors
+        assert errors[0].startswith("grid {'policy.width': 4, 'policy.cadence': 0}: "
+                                    "policy.cadence")
+        assert errors[1].startswith("grid {'policy.width': 7, 'policy.cadence': 10}: "
+                                    "policy.width")
+        assert errors[2].startswith("grid {'policy.width': 7, 'policy.cadence': 0}: ")
+
+    def test_dataset_horizon_beyond_the_rows_stops_the_grid_before_any_run(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "tiny.csv"
+        path.write_text("a,b,label\n1,2,x\n3,4,y\n", encoding="utf-8")
+        config = ExperimentConfig(
+            environment=EnvironmentConfig(kind="dataset", dataset_path=str(path),
+                                          label_column="label", horizon=2),
+            policy=PolicyConfig(algorithm="random"), repetitions=1,
+        )
+        monkeypatch.setattr(harness, "run_single", self._no_run)
+        with pytest.raises(ConfigError) as exc_info:
+            grid_search(config, {"environment.horizon": [2, 5]})
+        assert exc_info.value.errors == [
+            "grid {'environment.horizon': 5}: environment.horizon: 5 exceeds the "
+            "dataset's 2 rows"]
 
     def test_nested_environment_override(self):
         config = linear_linucb_config(horizon=10, reps=1)

@@ -360,12 +360,19 @@ class TestNeuralEpsilonGreedy0:
         policy = NeuralEpsilonGreedy0(*gradient_feature_map(shape, policy_rng), 1.0, 0.2,
                                       policy_rng)
         rng = np.random.default_rng(87)
+        chosen, rewards = [], []
         for _ in range(10):
             contexts = duplicated_contexts(3, 2, int(rng.integers(1 << 30)))
             action, _ = policy.select(contexts)
-            policy.update(contexts[action], float(rng.standard_normal()))
+            chosen.append(contexts[action])
+            rewards.append(float(rng.standard_normal()))
+            policy.update(contexts[action], rewards[-1])
         assert policy.t == 10
-        assert policy.design.updates == 10
+        phi = policy.feature_map(np.stack(chosen))
+        design = np.eye(phi.shape[1]) + phi.T @ phi
+        assert np.allclose(policy.design.matrix, design, atol=1e-10)
+        assert np.allclose(policy.theta_offset, np.linalg.solve(design, phi.T @ rewards),
+                           atol=1e-8)
         assert np.linalg.norm(policy.theta_offset) > 0
 
 
