@@ -28,10 +28,9 @@ from neuralbandit.ntk import (
 )
 from neuralbandit.confidence import (
     DesignMatrix,
-    GammaInputs,
-    gamma_theoretical,
     ConstantWidth,
     RidgeWidth,
+    NeuralWidth,
 )
 from neuralbandit.policies import (
     TrainingConfig,

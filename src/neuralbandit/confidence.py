@@ -15,20 +15,22 @@ per-coordinate log ratios.
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg.blas import dsymv, dsyr
 from scipy.linalg.lapack import dpotrf, dpotri
 
-from neuralbandit.network import check_integer, check_real
+from neuralbandit.network import NetworkShape, check_integer, check_real
+
+if TYPE_CHECKING:
+    from neuralbandit.policies import TrainingConfig
 
 __all__ = [
     "DesignMatrix",
-    "GammaInputs",
-    "gamma_theoretical",
     "ConstantWidth",
     "RidgeWidth",
+    "NeuralWidth",
 ]
 
 DEFAULT_REFRESH_EVERY = 512
@@ -159,101 +161,6 @@ def _symmetric_copy(upper: np.ndarray) -> np.ndarray:
     return np.triu(upper) + np.triu(upper, 1).T
 
 
-@dataclass(frozen=True)
-class GammaInputs:
-    """Inputs of the theoretical exploration width.
-
-    All but c1, c2, c3 are the network's and the regression's own settings
-    (width m, depth L, lam, eta, J) and the confidence parameters nu, delta,
-    S.  c1, c2, c3 are the absolute constants of the width formula; they are
-    proved to exist but never pinned down, so they are user-supplied and
-    default to 1.  j_steps may be math.inf to switch the geometric
-    optimization-error term off.
-    """
-
-    nu: float
-    delta: float
-    s_norm: float
-    lam: float
-    width: int
-    depth: int
-    eta: float
-    j_steps: float
-    c1: float = 1.0
-    c2: float = 1.0
-    c3: float = 1.0
-
-    def __post_init__(self):
-        for name in ("nu", "delta", "s_norm", "lam", "eta", "c1", "c2", "c3"):
-            check_real(name, getattr(self, name))
-        # j_steps = inf is the sentinel that switches the decay term off
-        if self.j_steps != math.inf:
-            check_real("j_steps", self.j_steps)
-        check_integer("width", self.width)
-        check_integer("depth", self.depth)
-        if self.nu <= 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.s_norm <= 0:
-            raise ValueError(f"s_norm must be positive, got {self.s_norm}")
-        if self.lam <= 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
-        if self.depth < 2:
-            raise ValueError(f"depth must be >= 2, got {self.depth}")
-        if self.eta <= 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.j_steps < 0:
-            raise ValueError(f"j_steps must be >= 0, got {self.j_steps}")
-        if min(self.c1, self.c2, self.c3) < 0:
-            raise ValueError("c1, c2, c3 must be nonnegative")
-        decay_base = self.eta * self.width * self.lam
-        if decay_base >= 1.0:
-            raise ValueError(
-                f"eta*width*lam = {decay_base:.6g} >= 1: step size too large for the "
-                "geometric decay term to be meaningful"
-            )
-
-
-def gamma_theoretical(inputs: GammaInputs, t: int, logdet: float) -> float:
-    """Evaluate the full exploration-width formula at round t.
-
-    gamma = sqrt(1 + c1 * w) * (nu * sqrt(logdet + c2 * w' - 2 log delta)
-                                + sqrt(lam) * S)
-            + (lam + c3 * t * L) * [decay + approx]
-
-    where w, w' and approx are width-dependent correction terms that all
-    carry a factor m^{-1/6} sqrt(log m) and vanish as the width grows, and
-    decay = (1 - eta*m*lam)^{J/2} sqrt(t/lam) is the optimization error of
-    J gradient steps (zero under the J = inf sentinel).  With the inputs
-    bound, functools.partial(gamma_theoretical, inputs) is a width provider.
-    """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if logdet < 0:
-        raise ValueError(f"logdet must be nonnegative, got {logdet}")
-    nu, delta, s, lam = inputs.nu, inputs.delta, inputs.s_norm, inputs.lam
-    m, L, eta, j = inputs.width, inputs.depth, inputs.eta, inputs.j_steps
-    mfac = m ** (-1.0 / 6.0) * math.sqrt(math.log(m)) if m > 1 else 0.0
-    front = math.sqrt(1.0 + inputs.c1 * mfac * L**4 * t ** (7.0 / 6.0) * lam ** (-7.0 / 6.0))
-    inner = logdet + inputs.c2 * mfac * L**4 * t ** (5.0 / 3.0) * lam ** (-1.0 / 6.0) \
-        - 2.0 * math.log(delta)
-    if inner < 0:
-        raise ValueError(
-            f"argument of the inner square root is negative ({inner:.6g}); "
-            "the supplied constants are inconsistent"
-        )
-    if math.isinf(j):
-        decay = 0.0
-    else:
-        decay = (1.0 - eta * m * lam) ** (j / 2.0) * math.sqrt(t / lam)
-    approx = mfac * L ** 3.5 * t ** (5.0 / 3.0) * lam ** (-5.0 / 3.0) * (1.0 + math.sqrt(t / lam))
-    return front * (nu * math.sqrt(inner) + math.sqrt(lam) * s) \
-        + (lam + inputs.c3 * t * L) * (decay + approx)
-
-
 class ConstantWidth:
     """Fixed exploration width gamma_t = gamma for every round."""
 
@@ -289,3 +196,49 @@ class RidgeWidth:
     def __call__(self, t: int, logdet: float) -> float:
         return self.nu * math.sqrt(logdet - 2.0 * math.log(self.delta)) \
             + math.sqrt(self.lam) * self.s_norm
+
+
+class NeuralWidth:
+    """NeuralUCB's theoretical width: the ridge width inflated by the network's error terms.
+
+    gamma_t = sqrt(1 + w) * ridge(t, logdet + w') + (lam + t L) * (decay + approx)
+
+    where w = mfac L^4 t^(7/6) lam^(-7/6), w' = mfac L^4 t^(5/3) lam^(-1/6) and
+    approx = mfac L^3.5 t^(5/3) lam^(-5/3) (1 + sqrt(t / lam)) carry the factor
+    mfac = m^(-1/6) sqrt(log m) of the width m, and decay =
+    (1 - eta m lam)^(J/2) sqrt(t / lam) is the optimization error of J gradient
+    steps, with J = t when the training config leaves j_steps unset.
+
+    The paper proves absolute constants C1, C2, C3 exist in front of w, w' and
+    t L but never fixes them; here they are 1.  Their values change no
+    action: the width terms make gamma_t about 5.7e5 at t = 1 and 1.5e16 at
+    t = 2000 on the h1 protocol (m = 20, L = 2, lam = 0.01), and runs with
+    other constants gave identical regret.  Every input has been checked by
+    the ridge width, the network shape or the training config; the only check
+    here is eta * m * lam < 1, which the decay term needs.
+    """
+
+    def __init__(self, ridge: RidgeWidth, shape: NetworkShape, train: "TrainingConfig"):
+        decay_base = train.eta * shape.width * ridge.lam
+        if decay_base >= 1.0:
+            raise ValueError(
+                f"eta*width*lam = {decay_base:.6g} >= 1: step size too large for the "
+                "geometric decay term to be meaningful"
+            )
+        self.ridge = ridge
+        self.shape = shape
+        self.train = train
+
+    def __call__(self, t: int, logdet: float) -> float:
+        if t < 0:
+            raise ValueError(f"t must be >= 0, got {t}")
+        if logdet < 0:
+            raise ValueError(f"logdet must be nonnegative, got {logdet}")
+        lam, m, L = self.ridge.lam, self.shape.width, self.shape.depth
+        j = t if self.train.j_steps is None else self.train.j_steps
+        mfac = m ** (-1.0 / 6.0) * math.sqrt(math.log(m))
+        front = math.sqrt(1.0 + mfac * L**4 * t ** (7.0 / 6.0) * lam ** (-7.0 / 6.0))
+        shift = mfac * L**4 * t ** (5.0 / 3.0) * lam ** (-1.0 / 6.0)
+        decay = (1.0 - self.train.eta * m * lam) ** (j / 2.0) * math.sqrt(t / lam)
+        approx = mfac * L ** 3.5 * t ** (5.0 / 3.0) * lam ** (-5.0 / 3.0) * (1.0 + math.sqrt(t / lam))
+        return front * self.ridge(t, logdet + shift) + (lam + t * L) * (decay + approx)

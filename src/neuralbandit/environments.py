@@ -184,16 +184,14 @@ class CsvDataset:
     labels: np.ndarray
     num_classes: int
     label_names: list = field(default_factory=list)
-    feature_names: list = field(default_factory=list)
 
 
-def load_csv(path, label_column: str, num_classes: int | None = None) -> CsvDataset:
+def load_csv(path, label_column: str) -> CsvDataset:
     """Read a header-ed CSV with one label column and numeric features.
 
-    Labels map to contiguous class ids in first-appearance order.  A
-    non-numeric or non-finite (nan, inf) feature cell is an error naming the
-    row and column; if num_classes disagrees with the observed class count,
-    a warning is issued and the observed count wins.
+    Labels map to contiguous class ids in first-appearance order, and the
+    class count is the number observed.  A non-numeric or non-finite (nan,
+    inf) feature cell is an error naming the row and column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -206,7 +204,6 @@ def load_csv(path, label_column: str, num_classes: int | None = None) -> CsvData
                 f"{path}: label column {label_column!r} not found in header {header}"
             )
         label_idx = header.index(label_column)
-        feature_names = [h for i, h in enumerate(header) if i != label_idx]
         label_ids: dict[str, int] = {}
         features, labels = [], []
         for row_no, row in enumerate(reader, start=2):
@@ -236,15 +233,9 @@ def load_csv(path, label_column: str, num_classes: int | None = None) -> CsvData
     observed = len(label_ids)
     if observed < 2:
         raise ValueError(f"{path}: need at least 2 classes, observed {observed}")
-    if num_classes is not None and num_classes != observed:
-        warnings.warn(
-            f"{path}: requested {num_classes} classes but observed {observed}; "
-            "using the observed count"
-        )
     return CsvDataset(
         features=np.asarray(features, dtype=np.float64),
         labels=np.asarray(labels, dtype=int),
         num_classes=observed,
         label_names=list(label_ids),
-        feature_names=feature_names,
     )

@@ -11,7 +11,6 @@ uses, so their checks are the only copy of the policy rules.
 """
 
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -25,7 +24,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from neuralbandit import environments, policies
-from neuralbandit.confidence import ConstantWidth, GammaInputs, RidgeWidth, gamma_theoretical
+from neuralbandit.confidence import ConstantWidth, NeuralWidth, RidgeWidth
 from neuralbandit.network import NetworkShape
 
 __all__ = [
@@ -88,7 +87,6 @@ class EnvironmentConfig:
     noise_scale: float = 1.0
     dataset_path: str | None = None
     label_column: str | None = None
-    num_classes: int | None = None
     shuffle: bool = True
 
     def validate(self) -> list:
@@ -100,8 +98,6 @@ class EnvironmentConfig:
         errors += _flag_errors("environment.shuffle", self.shuffle)
         errors += _string_errors("environment.dataset_path", self.dataset_path)
         errors += _string_errors("environment.label_column", self.label_column)
-        if self.num_classes is not None:
-            errors += _count_errors("environment.num_classes", self.num_classes, 2)
         if isinstance(self.noise_scale, bool) or not isinstance(self.noise_scale, numbers.Real):
             errors.append(f"environment.noise_scale: must be a number, got {self.noise_scale!r}")
         elif not 0 <= self.noise_scale < math.inf:
@@ -130,10 +126,7 @@ class PolicyConfig:
     design_mode: str = "full"
     preprocess: bool | None = None  # None: on for neural algorithms, off otherwise
     # exploration
-    gamma: float | None = 0.1
-    # c1, c2, c3 of the theoretical width, which replaces gamma when given; the
-    # formula's other inputs are this policy's own fields
-    gamma_inputs: dict | None = None
+    gamma: float | None = 0.1  # a number, or null for NeuralUCB's theoretical width
     epsilon: float = 0.1
     alpha: float = 1.0
     nu: float = 1.0
@@ -210,26 +203,6 @@ def _dataclass_from_dict(cls, data, prefix, errors):
         return cls()
 
 
-def _gamma_inputs(policy: PolicyConfig) -> GammaInputs:
-    """The width formula's inputs: the policy's own fields and its c1, c2, c3.
-
-    A rejected value raises the constructor's message, which starts with the
-    policy field it came from, or with the constant that _RENAMED_FIELDS
-    maps to gamma_inputs.
-    """
-    constants = policy.gamma_inputs
-    if not isinstance(constants, dict):
-        raise ValueError(f"gamma_inputs: must be a mapping of c1, c2, c3, got {constants!r}")
-    for key in constants:
-        if key not in ("c1", "c2", "c3"):
-            inherited = key in {f.name for f in dataclasses.fields(GammaInputs)}
-            hint = f"; set policy.{key} instead" if inherited else ""
-            raise ValueError(f"gamma_inputs: holds only c1, c2, c3, got {key!r}{hint}")
-    j_steps = math.inf if policy.j_steps is None else policy.j_steps
-    return GammaInputs(policy.nu, policy.delta, policy.s_norm, policy.lam, policy.width,
-                       policy.depth, policy.eta, j_steps, **constants)
-
-
 @dataclass
 class RunResult:
     """One repetition's regret trajectory plus provenance."""
@@ -252,7 +225,7 @@ def _secret_rng(base_seed: int) -> np.random.Generator:
 def _build_environment(cfg: EnvironmentConfig, rng, secret_rng, dataset=None):
     if cfg.kind == "dataset":
         if dataset is None:
-            dataset = environments.load_csv(cfg.dataset_path, cfg.label_column, cfg.num_classes)
+            dataset = environments.load_csv(cfg.dataset_path, cfg.label_column)
         return environments.DatasetBandit(
             dataset.features, dataset.labels, dataset.num_classes,
             rng=rng if cfg.shuffle else None,
@@ -285,11 +258,11 @@ def _build_policy(cfg: PolicyConfig, env, rng):
                                   lam=cfg.lam, cap=cfg.kernel_cap)
     shape = _network_shape(cfg, raw_dim)
     if algo == "neural_ucb":
-        if cfg.gamma_inputs is not None:
-            width = functools.partial(gamma_theoretical, _gamma_inputs(cfg))
+        train = _training_config(cfg)
+        if cfg.gamma is None:
+            width = NeuralWidth(RidgeWidth(cfg.nu, cfg.delta, cfg.s_norm, cfg.lam), shape, train)
         else:
             width = ConstantWidth(cfg.gamma)
-        train = _training_config(cfg)
         return policies.NeuralUCB(shape, cfg.lam, width, rng, train=train,
                                   design_mode=cfg.design_mode)
     if algo == "neural_greedy":
@@ -320,7 +293,7 @@ def _checked(config: ExperimentConfig) -> tuple:
     dataset = None
     if env.kind == "dataset" and not errors:
         try:
-            dataset = environments.load_csv(env.dataset_path, env.label_column, env.num_classes)
+            dataset = environments.load_csv(env.dataset_path, env.label_column)
         except (ValueError, OSError) as exc:
             errors.append(f"environment.dataset_path: {exc}")
         else:
@@ -340,8 +313,7 @@ def _checked(config: ExperimentConfig) -> tuple:
 _POLICY_FIELDS = frozenset(f.name for f in dataclasses.fields(PolicyConfig))
 # constructor parameters whose PolicyConfig field has another name
 _RENAMED_FIELDS = {"input_dim": "preprocess", "mode": "design_mode",
-                   "bandwidth": "kernel_bandwidth", "beta": "kernel_beta", "cap": "kernel_cap",
-                   "c1": "gamma_inputs", "c2": "gamma_inputs", "c3": "gamma_inputs"}
+                   "bandwidth": "kernel_bandwidth", "beta": "kernel_beta", "cap": "kernel_cap"}
 
 
 def _policy_errors(config: ExperimentConfig, dataset) -> list:

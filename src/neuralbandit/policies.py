@@ -206,7 +206,7 @@ class _TrainedNetwork:
         j = t if cfg.j_steps is None else cfg.j_steps
         x = np.stack([c for c, _ in self.history])
         r = np.array([rw for _, rw in self.history])
-        self.theta, self.last_losses = train_nn(
+        self.theta, _ = train_nn(
             self.lam, cfg.eta, j, x, r, self.theta0,
             batch_size=cfg.batch_size, rng=self.rng,
         )

@@ -53,12 +53,23 @@ class TestRun:
         for name in ("rounds.csv", "summary.csv", "config.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_theoretical_width_run_is_byte_identical(self, tmp_path):
+        data = json.loads(write_config(tmp_path).read_text())
+        data["policy"]["gamma"] = None
+        config = write_config(tmp_path, **data)
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "--config", str(config), "--out", str(out_a)]) == 0
+        assert main(["run", "--config", str(config), "--out", str(out_b)]) == 0
+        for name in ("rounds.csv", "summary.csv", "config.json"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        assert json.loads((out_a / "config.json").read_text())["policy"]["gamma"] is None
+
     @pytest.mark.parametrize("environment,policy,top,field_name", [
         pytest.param({"horizon": 0}, {}, {}, "environment.horizon", id="horizon"),
         pytest.param({"dimension": 5}, {"preprocess": False}, {}, "policy.preprocess",
                      id="odd-dimension-unpreprocessed"),
-        pytest.param({}, {"gamma_inputs": {"eta": 1.0}}, {}, "policy.gamma_inputs",
-                     id="gamma-inputs-policy-field"),
+        pytest.param({}, {"gamma_inputs": {}}, {}, "policy.gamma_inputs",
+                     id="removed-gamma-inputs"),
         pytest.param({}, {}, {"repetitions": "2"}, "repetitions", id="string-repetitions"),
         pytest.param({"horizon": 5.5}, {}, {}, "environment.horizon", id="fractional-horizon"),
         pytest.param({"num_actions": 2.5}, {}, {}, "environment.num_actions",
@@ -79,8 +90,6 @@ class TestRun:
         pytest.param({}, {}, {"output": 5}, "output", id="int-output"),
         pytest.param({"kind": "dataset", "dataset_path": 5, "label_column": "label"}, {}, {},
                      "environment.dataset_path", id="int-dataset-path"),
-        pytest.param({"num_classes": "3"}, {}, {}, "environment.num_classes",
-                     id="string-num-classes"),
     ])
     def test_invalid_config_exits_one_naming_field(self, tmp_path, capsys,
                                                    environment, policy, top, field_name):

@@ -1,6 +1,6 @@
 """Tests for the design matrix and the exploration-width formulas."""
 
-import functools
+import itertools
 import math
 
 import numpy as np
@@ -8,13 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neuralbandit.confidence import (
-    ConstantWidth,
-    DesignMatrix,
-    GammaInputs,
-    RidgeWidth,
-    gamma_theoretical,
-)
+from neuralbandit.confidence import ConstantWidth, DesignMatrix, NeuralWidth, RidgeWidth
+from neuralbandit.network import NetworkShape
+from neuralbandit.policies import TrainingConfig
 
 
 def direct_log_det_ratio(z: np.ndarray, lam: float) -> float:
@@ -195,85 +191,72 @@ class TestInvariants:
         assert np.max(np.abs(direct - d.inverse)) <= 1e-8
 
 
-def base_inputs(**overrides):
-    kwargs = dict(nu=1.0, delta=0.1, s_norm=1.0, lam=1.0, width=1024, depth=2,
-                  eta=1e-5, j_steps=100.0, c1=1.0, c2=1.0, c3=1.0)
-    kwargs.update(overrides)
-    return GammaInputs(**kwargs)
+def neural_width(lam=1.0, width=20, depth=2, eta=1e-5, j_steps=100, nu=1.0, delta=0.1,
+                 s_norm=1.0):
+    return NeuralWidth(RidgeWidth(nu, delta, s_norm, lam),
+                       NetworkShape(input_dim=4, width=width, depth=depth),
+                       TrainingConfig(eta=eta, j_steps=j_steps))
 
 
-class TestGammaTheoretical:
-    def test_reduces_to_ridge_width_when_width_terms_vanish(self):
-        # m = 1 zeroes every m^{-1/6} sqrt(log m) correction, and the inf
-        # sentinel removes the geometric decay: only the ridge width remains
-        inputs = base_inputs(width=1, eta=0.5, j_steps=math.inf)
-        ridge = RidgeWidth(nu=1.0, delta=0.1, s_norm=1.0, lam=1.0)
+def reference_gamma(nu, delta, s, lam, m, L, eta, j, t, logdet):
+    """The width formula with every absolute constant 1, written out in one expression."""
+    mfac = m ** (-1.0 / 6.0) * math.sqrt(math.log(m))
+    front = math.sqrt(1.0 + 1.0 * mfac * L**4 * t ** (7.0 / 6.0) * lam ** (-7.0 / 6.0))
+    inner = logdet + 1.0 * mfac * L**4 * t ** (5.0 / 3.0) * lam ** (-1.0 / 6.0) \
+        - 2.0 * math.log(delta)
+    decay = (1.0 - eta * m * lam) ** (j / 2.0) * math.sqrt(t / lam)
+    approx = mfac * L ** 3.5 * t ** (5.0 / 3.0) * lam ** (-5.0 / 3.0) * (1.0 + math.sqrt(t / lam))
+    return front * (nu * math.sqrt(inner) + math.sqrt(lam) * s) \
+        + (lam + 1.0 * t * L) * (decay + approx)
+
+
+class TestNeuralWidth:
+    @pytest.mark.parametrize("lam,eta,j_steps,width,depth", list(itertools.product(
+        (0.01, 1.0), (1e-3, 1e-5), (0, 30), (4, 20, 64), (2, 3))))
+    def test_matches_the_reference_formula_bit_for_bit(self, lam, eta, j_steps, width, depth):
+        gamma = neural_width(lam=lam, eta=eta, j_steps=j_steps, width=width, depth=depth)
+        for t, logdet in ((0, 0.0), (1, 0.5), (17, 3.25), (2000, 812.7)):
+            expected = reference_gamma(1.0, 0.1, 1.0, lam, width, depth, eta, j_steps, t, logdet)
+            assert gamma(t, logdet).hex() == expected.hex()
+
+    @pytest.mark.parametrize("width", [2, 4, 20, 64, 1024])
+    def test_round_zero_is_the_ridge_width(self, width):
+        # at t = 0 every width term and the decay vanish exactly
+        ridge = RidgeWidth(nu=0.7, delta=0.1, s_norm=2.0, lam=0.5)
+        gamma = NeuralWidth(ridge, NetworkShape(input_dim=4, width=width, depth=3),
+                            TrainingConfig(eta=1e-4, j_steps=None))
         for logdet in (0.0, 1.0, 7.3):
-            assert gamma_theoretical(inputs, 50, logdet) == pytest.approx(
-                ridge(50, logdet), rel=1e-12)
+            assert gamma(0, logdet) == ridge(0, logdet)
 
-    def test_reduces_at_round_zero_for_any_width(self):
-        inputs = base_inputs(c1=0.0, c2=0.0, c3=0.0, j_steps=math.inf)
-        assert gamma_theoretical(inputs, 0, 0.0) == pytest.approx(
-            1.0 * math.sqrt(-2 * math.log(0.1)) + 1.0)
-
-    def test_zero_constant_large_width_limit_is_ridge_width(self):
-        inputs = base_inputs(width=10**60, eta=1e-70, j_steps=math.inf,
-                             c1=0.0, c2=0.0, c3=0.0)
-        ridge = RidgeWidth(nu=1.0, delta=0.1, s_norm=1.0, lam=1.0)
-        assert gamma_theoretical(inputs, 10, 2.0) == pytest.approx(ridge(10, 2.0), abs=1e-4)
-
-    def test_hand_value_reduced_formula(self):
-        inputs = GammaInputs(nu=1.0, delta=math.exp(-2.0), s_norm=1.0, lam=1.0,
-                             width=1, depth=2, eta=0.5, j_steps=math.inf,
-                             c1=0.0, c2=0.0, c3=0.0)
-        assert gamma_theoretical(inputs, 3, 0.0) == pytest.approx(3.0)
+    @pytest.mark.parametrize("t", [1, 4, 50, 2000])
+    def test_unset_j_steps_counts_t_steps(self, t):
+        # j_steps None trains t steps at round t, so the decay term is that of J = t
+        assert neural_width(lam=0.01, eta=1e-3, j_steps=None)(t, 2.0) \
+            == neural_width(lam=0.01, eta=1e-3, j_steps=t)(t, 2.0)
 
     def test_monotone_in_logdet(self):
-        inputs = base_inputs()
-        values = [gamma_theoretical(inputs, 10, ld) for ld in (0.0, 0.5, 1.0, 5.0, 20.0)]
+        gamma = neural_width()
+        values = [gamma(10, ld) for ld in (0.0, 0.5, 1.0, 5.0, 20.0)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    def test_grows_with_the_round(self):
+        gamma = neural_width()
+        assert gamma(0, 1.0) < gamma(17, 1.0)
+
+    def test_fewer_steps_give_a_wider_bound(self):
+        assert neural_width(j_steps=0)(4, 0.0) > neural_width(j_steps=1000)(4, 0.0)
+
     def test_negative_logdet_rejected(self):
-        with pytest.raises(ValueError):
-            gamma_theoretical(base_inputs(), 10, -0.1)
+        with pytest.raises(ValueError, match="logdet must be nonnegative"):
+            neural_width()(10, -0.1)
+
+    def test_negative_round_rejected(self):
+        with pytest.raises(ValueError, match="t must be"):
+            neural_width()(-1, 0.0)
 
     def test_oversized_step_rejected(self):
-        with pytest.raises(ValueError, match="step size"):
-            gamma_theoretical(base_inputs(eta=1.0), 10, 0.0)
-
-    def test_inconsistent_constants_rejected(self):
-        # a delta this close to 1 makes -2 log delta ~ 0; a negative inner
-        # argument can only come from bad inputs, which the formula refuses
-        with pytest.raises(ValueError):
-            GammaInputs(nu=1.0, delta=1.0, s_norm=1.0, lam=1.0, width=4, depth=2,
-                        eta=1e-5, j_steps=10.0)
-
-    def test_finite_j_decay_term_counts(self):
-        fast = gamma_theoretical(base_inputs(j_steps=0.0), 4, 0.0)
-        slow = gamma_theoretical(base_inputs(j_steps=1000.0), 4, 0.0)
-        limit = gamma_theoretical(base_inputs(j_steps=math.inf), 4, 0.0)
-        assert fast > slow > limit
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            base_inputs(nu=0.0)
-
-    @pytest.mark.parametrize("name,value,error", [
-        ("c1", math.nan, ValueError), ("eta", math.inf, ValueError), ("nu", "1", TypeError),
-        ("j_steps", math.nan, ValueError), ("width", 2.5, TypeError),
-    ])
-    def test_non_finite_or_non_number_input_is_named(self, name, value, error):
-        with pytest.raises(error, match=f"^{name} must be"):
-            base_inputs(**{name: value})
-        with pytest.raises(ValueError):
-            base_inputs(delta=0.0)
-        with pytest.raises(ValueError):
-            base_inputs(lam=-1.0)
-        with pytest.raises(ValueError):
-            base_inputs(c1=-0.5)
-        with pytest.raises(ValueError, match="t must be"):
-            gamma_theoretical(base_inputs(), -1, 0.0)
+        with pytest.raises(ValueError, match=r"^eta\*width\*lam = .* step size"):
+            neural_width(eta=0.05)
 
 
 class TestWidthProviders:
@@ -287,12 +270,6 @@ class TestWidthProviders:
     def test_negative_width_rejected(self):
         with pytest.raises(ValueError):
             ConstantWidth(-0.1)
-
-    def test_theoretical_width_fills_in_round_index(self):
-        provider = functools.partial(gamma_theoretical, base_inputs())
-        direct = gamma_theoretical(base_inputs(), 17, 1.0)
-        assert provider(17, 1.0) == pytest.approx(direct, rel=1e-12)
-        assert provider(0, 1.0) < provider(17, 1.0)
 
     def test_ridge_width_value(self):
         ridge = RidgeWidth(nu=2.0, delta=math.exp(-0.5), s_norm=3.0, lam=4.0)

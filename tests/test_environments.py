@@ -229,12 +229,6 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="label column"):
             load_csv(path, "label")
 
-    def test_class_count_mismatch_warns_and_uses_observed(self, tmp_path):
-        path = self.write(tmp_path, "a,label\n1,x\n2,y\n3,z\n")
-        with pytest.warns(UserWarning, match="observed 3"):
-            ds = load_csv(path, "label", num_classes=5)
-        assert ds.num_classes == 3
-
     def test_ragged_row_rejected(self, tmp_path):
         path = self.write(tmp_path, "a,b,label\n1,2,cat\n1,2,3,dog\n")
         with pytest.raises(ValueError, match="row 3"):

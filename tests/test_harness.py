@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from neuralbandit import harness
-from neuralbandit.confidence import GammaInputs, gamma_theoretical
+from neuralbandit.confidence import NeuralWidth, RidgeWidth
 from neuralbandit.harness import (
     ConfigError,
     EnvironmentConfig,
@@ -148,7 +148,7 @@ class TestRunExperiment:
 # preprocess=False is out of range for the odd dimension the test environment uses
 BAD_POLICY_VALUES = {
     "width": 7, "depth": 1, "lam": 0.0, "design_mode": "sparse",
-    "preprocess": False, "gamma": None, "gamma_inputs": {"c1": -1.0}, "epsilon": 1.5,
+    "preprocess": False, "gamma": -1.0, "epsilon": 1.5,
     "alpha": -1.0, "nu": 0.0, "delta": 1.0, "s_norm": 0.0, "eta": 0.0, "j_steps": -1,
     "batch_size": 0, "cadence": 0, "train_start": -1, "kernel_bandwidth": 0.0,
     "kernel_beta": -1.0, "kernel_cap": 0,
@@ -157,7 +157,7 @@ NETWORK_FIELDS = ("width", "depth", "lam", "preprocess")
 DESIGN_FIELDS = ("design_mode",)
 TRAINING_FIELDS = ("eta", "j_steps", "batch_size", "cadence", "train_start")
 FIELDS_READ = {
-    "neural_ucb": NETWORK_FIELDS + DESIGN_FIELDS + TRAINING_FIELDS + ("gamma", "gamma_inputs"),
+    "neural_ucb": NETWORK_FIELDS + DESIGN_FIELDS + TRAINING_FIELDS + ("gamma",),
     "neural_greedy": NETWORK_FIELDS + TRAINING_FIELDS + ("epsilon",),
     "neural_ucb0": NETWORK_FIELDS + DESIGN_FIELDS + ("nu", "delta", "s_norm"),
     "neural_greedy0": NETWORK_FIELDS + DESIGN_FIELDS + ("epsilon",),
@@ -242,7 +242,6 @@ class TestValidation:
         assert errors == ["environment.shuffle: must be true or false, got 'no'"]
 
     @pytest.mark.parametrize("policy_fields,field_name,message", [
-        # inherited from the policy: named as the policy field
         pytest.param({"nu": math.nan}, "policy.nu", "must be finite", id="policy-nan-nu"),
         pytest.param({"nu": 0.0}, "policy.nu", "must be positive", id="policy-zero-nu"),
         pytest.param({"delta": 2.0}, "policy.delta", "must lie in (0, 1)", id="policy-delta"),
@@ -252,27 +251,13 @@ class TestValidation:
         pytest.param({"eta": math.nan}, "policy.eta", "must be finite", id="policy-nan-eta"),
         pytest.param({"j_steps": -1}, "policy.j_steps", "must be >= 0", id="policy-j-steps"),
         pytest.param({"eta": 1.0}, "policy.eta", "eta*width*lam", id="policy-step-too-large"),
-        # a constant of the mapping: named as gamma_inputs
-        pytest.param({"gamma_inputs": {"c1": -1.0}}, "policy.gamma_inputs", "c1, c2, c3",
-                     id="mapping-c1"),
-        pytest.param({"gamma_inputs": {"c3": "1"}}, "policy.gamma_inputs",
-                     "c3 must be a real number", id="mapping-string-c3"),
-        # any other key: named as gamma_inputs, pointing at the policy field if there is one
-        pytest.param({"gamma_inputs": {"lam": 5.0}}, "policy.gamma_inputs",
-                     "set policy.lam instead", id="mapping-lam"),
-        pytest.param({"gamma_inputs": {"width": 40}}, "policy.gamma_inputs",
-                     "set policy.width instead", id="mapping-width"),
-        pytest.param({"gamma_inputs": {"kappa": 1.0}}, "policy.gamma_inputs", "'kappa'",
-                     id="mapping-unknown-key"),
-        pytest.param({"gamma_inputs": [1.0]}, "policy.gamma_inputs", "must be a mapping",
-                     id="not-a-mapping"),
     ])
-    def test_gamma_inputs_error_names_the_source_of_the_value(self, policy_fields,
-                                                              field_name, message):
-        fields = {"gamma_inputs": {}, **policy_fields}
+    def test_theoretical_width_error_names_the_policy_field(self, policy_fields,
+                                                           field_name, message):
         config = ExperimentConfig(
             environment=EnvironmentConfig(kind="h1", dimension=4, horizon=5),
-            policy=PolicyConfig(algorithm="neural_ucb", **fields), repetitions=1,
+            policy=PolicyConfig(algorithm="neural_ucb", gamma=None, **policy_fields),
+            repetitions=1,
         )
         errors = config.validate()
         assert len(errors) == 1 and errors[0].startswith(field_name), errors
@@ -281,17 +266,15 @@ class TestValidation:
     @pytest.mark.parametrize("fields", [
         pytest.param({}, id="defaults"),
         pytest.param({"j_steps": 30, "lam": 0.5, "nu": 0.3, "s_norm": 2.0}, id="policy-fields"),
-        pytest.param({"gamma_inputs": {"c1": 0.5, "c2": 2.0, "c3": 0.0}}, id="constants"),
     ])
-    def test_gamma_inputs_come_from_the_policy_fields(self, fields):
-        policy = PolicyConfig(algorithm="neural_ucb", width=4, **{"gamma_inputs": {}, **fields})
+    def test_null_gamma_builds_the_theoretical_width_from_the_policy_fields(self, fields):
+        policy = PolicyConfig(algorithm="neural_ucb", width=4, gamma=None, **fields)
         built = harness._build_policy(policy, SimpleNamespace(d=2), np.random.default_rng(0))
-        j_steps = math.inf if policy.j_steps is None else policy.j_steps
-        inputs = GammaInputs(policy.nu, policy.delta, policy.s_norm, policy.lam, policy.width,
-                             policy.depth, policy.eta, j_steps, **policy.gamma_inputs)
-        assert built.gamma == gamma_theoretical(inputs, 0, 0.0)
-        # every input and constant enters the width once t > 0
-        assert built.width_provider(7, 1.5) == gamma_theoretical(inputs, 7, 1.5)
+        expected = NeuralWidth(RidgeWidth(policy.nu, policy.delta, policy.s_norm, policy.lam),
+                               harness._network_shape(policy, 2), harness._training_config(policy))
+        assert isinstance(built.width_provider, NeuralWidth)
+        assert built.gamma == expected(0, 0.0)
+        assert built.width_provider(7, 1.5) == expected(7, 1.5)
 
 
 class TestEmitResults:
