@@ -45,24 +45,18 @@ class TestRun:
         snapshot = json.loads((out_a / "config.json").read_text())
         assert snapshot["seeds"][0] == 123
 
-    def test_repeat_run_is_byte_identical(self, tmp_path):
-        config = write_config(tmp_path)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["run", "--config", str(config), "--out", str(out_a)]) == 0
-        assert main(["run", "--config", str(config), "--out", str(out_b)]) == 0
-        for name in ("rounds.csv", "summary.csv", "config.json"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-
-    def test_theoretical_width_run_is_byte_identical(self, tmp_path):
+    # null selects NeuralUCB's theoretical width
+    @pytest.mark.parametrize("gamma", [0.1, None])
+    def test_repeat_run_is_byte_identical(self, tmp_path, gamma):
         data = json.loads(write_config(tmp_path).read_text())
-        data["policy"]["gamma"] = None
+        data["policy"]["gamma"] = gamma
         config = write_config(tmp_path, **data)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--config", str(config), "--out", str(out_a)]) == 0
         assert main(["run", "--config", str(config), "--out", str(out_b)]) == 0
         for name in ("rounds.csv", "summary.csv", "config.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-        assert json.loads((out_a / "config.json").read_text())["policy"]["gamma"] is None
+        assert json.loads((out_a / "config.json").read_text())["policy"]["gamma"] == gamma
 
     @pytest.mark.parametrize("environment,policy,top,field_name", [
         pytest.param({"horizon": 0}, {}, {}, "environment.horizon", id="horizon"),

@@ -191,9 +191,8 @@ class TestInvariants:
         assert np.max(np.abs(direct - d.inverse)) <= 1e-8
 
 
-def neural_width(lam=1.0, width=20, depth=2, eta=1e-5, j_steps=100, nu=1.0, delta=0.1,
-                 s_norm=1.0):
-    return NeuralWidth(RidgeWidth(nu, delta, s_norm, lam),
+def neural_width(lam=1.0, width=20, depth=2, eta=1e-5, j_steps=100):
+    return NeuralWidth(RidgeWidth(nu=1.0, delta=0.1, s_norm=1.0, lam=lam),
                        NetworkShape(input_dim=4, width=width, depth=depth),
                        TrainingConfig(eta=eta, j_steps=j_steps))
 
