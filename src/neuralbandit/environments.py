@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from neuralbandit.network import check_integer, check_real
+
 __all__ = [
     "sample_unit_ball",
     "preprocess_batch",
@@ -72,8 +74,13 @@ class SyntheticBandit:
                  rng: np.random.Generator, secret_rng: np.random.Generator | None = None):
         if kind not in SYNTHETIC_KINDS:
             raise ValueError(f"unknown reward kind {kind!r}; choose from {SYNTHETIC_KINDS}")
-        if d < 1 or num_actions < 1:
-            raise ValueError("d and num_actions must be >= 1")
+        check_integer("d", d)
+        if d < 1:
+            raise ValueError(f"d must be >= 1, got {d}")
+        check_integer("num_actions", num_actions)
+        if num_actions < 1:
+            raise ValueError(f"num_actions must be >= 1, got {num_actions}")
+        check_real("noise_scale", noise_scale)
         if noise_scale < 0:
             raise ValueError(f"noise_scale must be >= 0, got {noise_scale}")
         self.kind = kind
@@ -141,7 +148,6 @@ class DatasetBandit:
         self.features = features / norms[:, None]
         self.labels = labels.astype(int)
         self.num_classes = num_classes
-        self.noise_scale = 0.0
         n = features.shape[0]
         self.order = np.arange(n) if rng is None else rng.permutation(n)
         self._cursor = 0

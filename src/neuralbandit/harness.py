@@ -6,15 +6,14 @@ environment's hidden reward parameters are drawn from a stream keyed by the
 base seed alone, so all repetitions share one reward function.  Regret is
 recorded against the true means (pseudo-regret), never the noisy rewards.
 
-Validation builds the configured policy through the same constructors a run
-uses, so their checks are the only copy of the policy rules.
+Validation builds the configured environment and policy through the same
+constructors a run uses, so their checks are the only copy of those rules.
 """
 
 import dataclasses
 import itertools
 import json
 import math
-import numbers
 import re
 import time
 from dataclasses import dataclass, field
@@ -90,6 +89,7 @@ class EnvironmentConfig:
     shuffle: bool = True
 
     def validate(self) -> list:
+        """The problems no environment constructor sees; _checked builds one for the rest."""
         errors = []
         kinds = environments.SYNTHETIC_KINDS + ("dataset",)
         if self.kind not in kinds:
@@ -98,11 +98,6 @@ class EnvironmentConfig:
         errors += _flag_errors("environment.shuffle", self.shuffle)
         errors += _string_errors("environment.dataset_path", self.dataset_path)
         errors += _string_errors("environment.label_column", self.label_column)
-        if isinstance(self.noise_scale, bool) or not isinstance(self.noise_scale, numbers.Real):
-            errors.append(f"environment.noise_scale: must be a number, got {self.noise_scale!r}")
-        elif not 0 <= self.noise_scale < math.inf:
-            errors.append(f"environment.noise_scale: must be finite and >= 0, "
-                          f"got {self.noise_scale}")
         if self.kind == "dataset":
             if not self.dataset_path:
                 errors.append("environment.dataset_path: required for dataset environments")
@@ -110,9 +105,6 @@ class EnvironmentConfig:
                 errors.append(f"environment.dataset_path: no such file {self.dataset_path!r}")
             if not self.label_column:
                 errors.append("environment.label_column: required for dataset environments")
-        else:
-            errors += _count_errors("environment.dimension", self.dimension, 1)
-            errors += _count_errors("environment.num_actions", self.num_actions, 1)
         return errors
 
 
@@ -266,16 +258,15 @@ def _build_policy(cfg: PolicyConfig, env, rng):
         return policies.NeuralUCB(shape, cfg.lam, width, rng, train=train,
                                   design_mode=cfg.design_mode)
     if algo == "neural_greedy":
-        train = _training_config(cfg)
-        return policies.NeuralEpsilonGreedy(shape, cfg.lam, cfg.epsilon, rng, train=train)
+        return policies.NeuralUCB(shape, cfg.lam, None, rng, train=_training_config(cfg),
+                                  epsilon=cfg.epsilon)
     if algo == "neural_ucb0":
         width = RidgeWidth(cfg.nu, cfg.delta, cfg.s_norm, cfg.lam)
         return policies.NeuralUCB0(*policies.gradient_feature_map(shape, rng), cfg.lam, width,
                                    design_mode=cfg.design_mode)
     if algo == "neural_greedy0":
-        return policies.NeuralEpsilonGreedy0(*policies.gradient_feature_map(shape, rng),
-                                             cfg.lam, cfg.epsilon, rng,
-                                             design_mode=cfg.design_mode)
+        return policies.NeuralUCB0(*policies.gradient_feature_map(shape, rng), cfg.lam, None,
+                                   design_mode=cfg.design_mode, epsilon=cfg.epsilon, rng=rng)
     raise ConfigError([f"policy.algorithm: unknown algorithm {algo!r}"])
 
 
@@ -287,7 +278,12 @@ def _training_config(cfg: PolicyConfig) -> policies.TrainingConfig:
 
 
 def _checked(config: ExperimentConfig) -> tuple:
-    """(the dataset environment's loaded CSV or None, every config problem)."""
+    """(the dataset environment's loaded CSV or None, every config problem).
+
+    The environment and the policy are built as a run builds them, so their
+    constructors' checks are the only copy of their rules.  The seed does not
+    matter to any check, so a fixed one is used.
+    """
     env = config.environment
     errors = env.validate()
     dataset = None
@@ -301,7 +297,15 @@ def _checked(config: ExperimentConfig) -> tuple:
             if env.horizon > rows:
                 errors.append(f"environment.horizon: {env.horizon} exceeds the dataset's "
                               f"{rows} rows")
-    errors += _policy_errors(config, dataset)
+    built = None
+    if env.kind in environments.SYNTHETIC_KINDS or dataset is not None:
+        rng = np.random.default_rng(0)
+        try:
+            built = _build_environment(env, rng, rng, dataset)
+        except (TypeError, ValueError) as exc:
+            errors.append(_field_error("environment", exc, _ENVIRONMENT_FIELDS,
+                                       {"d": "dimension"}))
+    errors += _policy_errors(config.policy, built)
     errors += _count_errors("repetitions", config.repetitions, 1)
     if isinstance(config.base_seed, bool) or not isinstance(config.base_seed, int) \
             or config.base_seed < 0:
@@ -310,44 +314,43 @@ def _checked(config: ExperimentConfig) -> tuple:
     return dataset, errors
 
 
+_ENVIRONMENT_FIELDS = frozenset(f.name for f in dataclasses.fields(EnvironmentConfig))
 _POLICY_FIELDS = frozenset(f.name for f in dataclasses.fields(PolicyConfig))
 # constructor parameters whose PolicyConfig field has another name
 _RENAMED_FIELDS = {"input_dim": "preprocess", "mode": "design_mode",
                    "bandwidth": "kernel_bandwidth", "beta": "kernel_beta", "cap": "kernel_cap"}
 
 
-def _policy_errors(config: ExperimentConfig, dataset) -> list:
-    """Build the policy a run would build and report what its constructors reject.
+def _field_error(section, exc, fields, renamed) -> str:
+    """A constructor's error, named by the config field of the parameter it rejects.
 
     Constructor messages start with the parameter they reject, which names
-    the PolicyConfig field directly or through _RENAMED_FIELDS.  The seed
-    does not matter to any check, so a fixed one is used.
+    the field directly or through renamed.
     """
-    policy, env = config.policy, config.environment
+    message = str(exc)
+    name = re.match(r"\w*", message).group()
+    field_name = renamed.get(name, name)
+    if field_name not in fields:
+        return f"{section}: {message}"
+    return f"{section}.{message}" if field_name == name else f"{section}.{field_name}: {message}"
+
+
+def _policy_errors(policy: PolicyConfig, environment) -> list:
+    """Build the policy a run would build on environment; what its constructors reject."""
     if policy.algorithm not in ALGORITHMS:
         return [f"policy.algorithm: unknown algorithm {policy.algorithm!r}, choose from {ALGORITHMS}"]
-    # a dataset's contexts put one feature block per class (the disjoint
-    # model); an unread dataset or a bad synthetic dimension is an environment
-    # error, and 2 stands in for it since it passes every dimension check
-    if dataset is not None:
-        raw_dim = dataset.features.shape[1] * dataset.num_classes
-    elif env.kind != "dataset" and not _count_errors("", env.dimension, 1):
-        raw_dim = env.dimension
-    else:
-        raw_dim = 2
+    # an environment that could not be built is an environment error, and a
+    # context dimension of 2 stands in for it since it passes every dimension check
+    if environment is None:
+        environment = SimpleNamespace(d=2)
     # checked for every algorithm, since kernel_ucb and random never read it; a
     # non-bool leaves the input dimension unknown, so nothing is built
     if policy.preprocess is not None and not isinstance(policy.preprocess, bool):
         return _flag_errors("policy.preprocess", policy.preprocess)
     try:
-        _build_policy(policy, SimpleNamespace(d=raw_dim), np.random.default_rng(0))
+        _build_policy(policy, environment, np.random.default_rng(0))
     except (TypeError, ValueError) as exc:
-        message = str(exc)
-        name = re.match(r"\w*", message).group()
-        field_name = _RENAMED_FIELDS.get(name, name)
-        if field_name not in _POLICY_FIELDS:
-            return [f"policy: {message}"]
-        return [f"policy.{message}" if field_name == name else f"policy.{field_name}: {message}"]
+        return [_field_error("policy", exc, _POLICY_FIELDS, _RENAMED_FIELDS)]
     return []
 
 

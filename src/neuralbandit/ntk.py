@@ -40,10 +40,6 @@ class GramMatrix:
     entries: np.ndarray
     depth: int
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
 
 def _relu_moments(cov: np.ndarray):
     """Closed-form second moments of relu/relu' under a bivariate Gaussian.

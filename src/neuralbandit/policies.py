@@ -1,6 +1,10 @@
-"""Bandit policies: neural UCB, its frozen-feature variant, and baselines.
+"""Bandit policies: two neural learners under one choice rule, and baselines.
 
-Every policy exposes
+The neural policies are two learners that share one select and one update:
+NeuralUCB retrains a reward network online, and NeuralUCB0 runs ridge
+regression on frozen features.  Each scores an arm by its predicted mean,
+plus a confidence width over its features when given one, and with
+probability epsilon plays a uniform arm instead.  Every policy exposes
 
     select(contexts) -> (action, scores)   # contexts: (K, d) array
     update(context, reward) -> None        # the chosen context
@@ -34,13 +38,10 @@ __all__ = [
     "TrainingConfig",
     "train_nn",
     "NeuralUCB",
-    "NeuralEpsilonGreedy",
     "NeuralUCB0",
-    "NeuralEpsilonGreedy0",
     "gradient_feature_map",
     "KernelUCB",
     "UniformRandomPolicy",
-    "OraclePolicy",
 ]
 
 
@@ -154,50 +155,85 @@ def _check_contexts(contexts) -> np.ndarray:
     return contexts
 
 
-def _ucb_choice(means, feats, design, gamma):
-    """Argmax of means + gamma * sqrt(f^T Z^{-1} f) over the feature rows f."""
-    bonus = np.array([math.sqrt(max(design.quadratic_form(f), 0.0)) for f in feats])
-    scores = means + gamma * bonus
-    return int(np.argmax(scores)), scores
+class _NeuralPolicy:
+    """The choice rule of both learners, over their predicted means and features.
 
-
-def _check_epsilon(epsilon) -> None:
-    check_real("epsilon", epsilon)
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-
-
-def _epsilon_choice(scores, epsilon, rng):
-    """Argmax of scores, or with probability epsilon a uniform arm.
-
-    epsilon = 0 draws nothing from rng.
+    An arm scores its predicted mean, plus gamma * sqrt(f^T Z^{-1} f) over its
+    feature row f when a width provider is given; gamma is the provider's
+    value at the current round and log-det ratio.  With probability epsilon
+    the policy plays a uniform arm instead, and epsilon = 0 draws nothing from
+    rng.  A learner supplies _predict (means, and feature rows when a width
+    is given), _learn and t, and keeps the design Z when a width is given.
     """
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(scores.shape[0])), scores
-    return int(np.argmax(scores)), scores
+
+    def __init__(self, width, epsilon, rng):
+        check_real("epsilon", epsilon)
+        if not 0.0 <= epsilon <= 1.0:
+            raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+        if epsilon > 0.0 and rng is None:
+            raise ValueError("rng is required when epsilon > 0")
+        self.width_provider = width
+        self.epsilon = epsilon
+        self.rng = rng
+        self.gamma = None if width is None else width(0, 0.0)
+
+    def select(self, contexts):
+        means, feats = self._predict(_check_contexts(contexts))
+        scores = means
+        if self.width_provider is not None:
+            bonus = np.array([math.sqrt(max(self.design.quadratic_form(f), 0.0))
+                              for f in feats])
+            scores = means + self.gamma * bonus
+        if self.epsilon > 0.0 and self.rng.random() < self.epsilon:
+            return int(self.rng.integers(scores.shape[0])), scores
+        return int(np.argmax(scores)), scores
+
+    def update(self, context, reward) -> None:
+        self._learn(context, reward)
+        if self.width_provider is not None:
+            self.gamma = self.width_provider(self.t, self.design.log_det_ratio())
 
 
-class _TrainedNetwork:
-    """Shared bookkeeping for policies that retrain a reward network online."""
+class NeuralUCB(_NeuralPolicy):
+    """The learner that retrains a reward network online.
 
-    def __init__(self, shape: NetworkShape, lam: float, rng: np.random.Generator,
-                 train: TrainingConfig):
+    Means are f(x; theta).  With a width, the features are g(x; theta) / sqrt(m)
+    and Z accumulates the chosen arms' features, taken at the pre-update
+    parameters.  With no width and epsilon > 0 this is neural epsilon-greedy,
+    which keeps no design and computes no gradients.
+    """
+
+    def __init__(self, shape: NetworkShape, lam: float, width, rng: np.random.Generator,
+                 train: TrainingConfig = TrainingConfig(), design_mode="full", epsilon=0.0):
+        super().__init__(width, epsilon, rng)
         check_real("lam", lam)
         if lam <= 0:
             raise ValueError(f"lam must be positive, got {lam}")
         self.shape = shape
         self.lam = lam
-        self.rng = rng
         self.train_config = train
         self.theta0 = init_symmetric(shape, rng)
         self.theta = self.theta0
         self.history = []
+        self.design = None if width is None else DesignMatrix(shape.num_params, lam,
+                                                              design_mode)
 
     @property
     def t(self) -> int:
         return len(self.history)
 
-    def _record_and_train(self, context, reward) -> None:
+    def _scaled_gradients(self, contexts) -> np.ndarray:
+        return gradient_batch(self.theta, contexts) / math.sqrt(self.shape.width)
+
+    def _predict(self, contexts):
+        means = forward_batch(self.theta, contexts)
+        if self.design is None:
+            return means, None
+        return means, self._scaled_gradients(contexts)
+
+    def _learn(self, context, reward) -> None:
+        if self.design is not None:
+            self.design.rank_one_update(self._scaled_gradients(np.atleast_2d(context))[0])
         self.history.append((np.asarray(context, dtype=np.float64), float(reward)))
         t = self.t
         cfg = self.train_config
@@ -212,55 +248,6 @@ class _TrainedNetwork:
         )
 
 
-class NeuralUCB(_TrainedNetwork):
-    """UCB over a trained network's predictions with gradient-feature widths.
-
-    Scores are f(x; theta) plus gamma * sqrt(g^T Z^{-1} g / m) where Z
-    accumulates scaled outer products of the chosen arms' gradients, taken
-    at the pre-update parameters.
-    """
-
-    def __init__(self, shape, lam, width, rng, train=TrainingConfig(), design_mode="full"):
-        super().__init__(shape, lam, rng, train)
-        self.width_provider = width
-        self.design = DesignMatrix(shape.num_params, lam, design_mode)
-        self.gamma = width(0, 0.0)
-
-    def _scaled_gradients(self, contexts) -> np.ndarray:
-        return gradient_batch(self.theta, contexts) / math.sqrt(self.shape.width)
-
-    def select(self, contexts):
-        contexts = _check_contexts(contexts)
-        means = forward_batch(self.theta, contexts)
-        return _ucb_choice(means, self._scaled_gradients(contexts), self.design, self.gamma)
-
-    def update(self, context, reward) -> None:
-        feat = self._scaled_gradients(np.atleast_2d(context))[0]
-        self.design.rank_one_update(feat)
-        self._record_and_train(context, reward)
-        self.gamma = self.width_provider(self.t, self.design.log_det_ratio())
-
-
-class NeuralEpsilonGreedy(_TrainedNetwork):
-    """Greedy on the trained network, exploring uniformly with probability eps.
-
-    eps = 0 draws nothing from the generator, so the action stream matches a
-    width-zero NeuralUCB with the same seed and training configuration.
-    """
-
-    def __init__(self, shape, lam, epsilon, rng, train=TrainingConfig()):
-        _check_epsilon(epsilon)
-        super().__init__(shape, lam, rng, train)
-        self.epsilon = epsilon
-
-    def select(self, contexts):
-        scores = forward_batch(self.theta, _check_contexts(contexts))
-        return _epsilon_choice(scores, self.epsilon, self.rng)
-
-    def update(self, context, reward) -> None:
-        self._record_and_train(context, reward)
-
-
 def gradient_feature_map(shape: NetworkShape, rng: np.random.Generator):
     """The frozen map x -> g(x; theta0) / sqrt(m) at a plain init, and its dimension.
 
@@ -272,67 +259,36 @@ def gradient_feature_map(shape: NetworkShape, rng: np.random.Generator):
     return (lambda x: gradient_batch(theta0, x) / scale), shape.num_params
 
 
-class _FrozenFeatureRidge:
-    """Online ridge regression on a frozen feature map phi."""
+class NeuralUCB0(_NeuralPolicy):
+    """The learner that runs online ridge regression on a frozen feature map phi.
 
-    def __init__(self, feature_map, feature_dim, lam, design_mode="full"):
+    Means are phi^T (theta - theta0), with the closed-form ridge estimate, and
+    the features are phi itself, so the UCB score is the maximum of the linear
+    objective over the confidence ellipsoid.  With gradient_feature_map this is
+    the linearized NeuralUCB; with the identity map and a constant width it is
+    LinUCB; with no width and epsilon > 0 it is epsilon-greedy on the ridge
+    predictions.
+    """
+
+    def __init__(self, feature_map, feature_dim, lam, width, design_mode="full",
+                 epsilon=0.0, rng=None):
+        super().__init__(width, epsilon, rng)
         self.feature_map = feature_map
-        self.lam = lam
         self.design = DesignMatrix(feature_dim, lam, design_mode)
         self.b = np.zeros(feature_dim)
         self.theta_offset = np.zeros(feature_dim)
         self.t = 0
 
-    def _features(self, contexts) -> np.ndarray:
-        return self.feature_map(_check_contexts(contexts))
+    def _predict(self, contexts):
+        phi = self.feature_map(contexts)
+        return phi @ self.theta_offset, phi
 
-    def _absorb(self, context, reward) -> None:
-        phi = self._features(context)[0]
+    def _learn(self, context, reward) -> None:
+        phi = self.feature_map(_check_contexts(context))[0]
         self.design.rank_one_update(phi)
         self.b += reward * phi
         self.theta_offset = self.design.solve(self.b)
         self.t += 1
-
-
-class NeuralUCB0(_FrozenFeatureRidge):
-    """Linear UCB in a frozen feature space.
-
-    The parameter estimate is the closed-form ridge solution; scores are
-    phi^T (theta - theta0) + gamma * sqrt(phi^T Z^{-1} phi), which is the
-    maximum of the linear objective over the confidence ellipsoid.  With
-    gradient_feature_map this is the linearized NeuralUCB; with the identity
-    map and a constant width it is LinUCB.
-    """
-
-    def __init__(self, feature_map, feature_dim, lam, width, design_mode="full"):
-        super().__init__(feature_map, feature_dim, lam, design_mode)
-        self.width_provider = width
-        self.gamma = width(0, 0.0)
-
-    def select(self, contexts):
-        phi = self._features(contexts)
-        return _ucb_choice(phi @ self.theta_offset, phi, self.design, self.gamma)
-
-    def update(self, context, reward) -> None:
-        self._absorb(context, reward)
-        self.gamma = self.width_provider(self.t, self.design.log_det_ratio())
-
-
-class NeuralEpsilonGreedy0(_FrozenFeatureRidge):
-    """Epsilon-greedy on the frozen-feature ridge predictions."""
-
-    def __init__(self, feature_map, feature_dim, lam, epsilon, rng, design_mode="full"):
-        _check_epsilon(epsilon)
-        super().__init__(feature_map, feature_dim, lam, design_mode)
-        self.epsilon = epsilon
-        self.rng = rng
-
-    def select(self, contexts):
-        return _epsilon_choice(self._features(contexts) @ self.theta_offset,
-                               self.epsilon, self.rng)
-
-    def update(self, context, reward) -> None:
-        self._absorb(context, reward)
 
 
 class KernelUCB:
@@ -422,26 +378,6 @@ class UniformRandomPolicy:
     def select(self, contexts):
         k = _check_contexts(contexts).shape[0]
         return int(self.rng.integers(k)), np.zeros(k)
-
-    def update(self, context, reward) -> None:
-        self.t += 1
-
-
-class OraclePolicy:
-    """Plays argmax of the true mean reward; for calibration tests only.
-
-    Must be fed raw environment contexts, since the attached environment
-    evaluates its reward function on them.
-    """
-
-    def __init__(self, environment):
-        self.environment = environment
-        self.t = 0
-
-    def select(self, contexts):
-        contexts = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
-        means = self.environment.mean_rewards(contexts)
-        return int(np.argmax(means)), means
 
     def update(self, context, reward) -> None:
         self.t += 1

@@ -124,6 +124,19 @@ class TestSyntheticBandit:
         e2 = SyntheticBandit("h1", 4, 3, 1.0, np.random.default_rng(3), secret_rng=secret)
         assert np.array_equal(e1.a, e2.a)
 
+    @pytest.mark.parametrize("d,num_actions,noise_scale,message", [
+        pytest.param(2.5, 3, 1.0, "d must be an integer", id="fractional-d"),
+        pytest.param(0, 3, 1.0, "d must be >= 1", id="zero-d"),
+        pytest.param(4, 2.5, 1.0, "num_actions must be an integer", id="fractional-num-actions"),
+        pytest.param(4, 0, 1.0, "num_actions must be >= 1", id="zero-num-actions"),
+        pytest.param(4, 3, np.nan, "noise_scale must be finite", id="nan-noise-scale"),
+        pytest.param(4, 3, "1", "noise_scale must be a real number", id="string-noise-scale"),
+        pytest.param(4, 3, -1.0, "noise_scale must be >= 0", id="negative-noise-scale"),
+    ])
+    def test_invalid_input_rejected_by_name(self, d, num_actions, noise_scale, message):
+        with pytest.raises((TypeError, ValueError), match=f"^{message}"):
+            SyntheticBandit("h1", d, num_actions, noise_scale, np.random.default_rng(0))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown reward kind"):
             SyntheticBandit("h4", 4, 3, 1.0, np.random.default_rng(0))

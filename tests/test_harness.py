@@ -21,7 +21,20 @@ from neuralbandit.harness import (
     run_experiment,
     run_single,
 )
-from neuralbandit.policies import OraclePolicy
+
+
+class OraclePolicy:
+    """Plays argmax of the true mean reward of an environment fed raw contexts."""
+
+    def __init__(self, environment):
+        self.environment = environment
+
+    def select(self, contexts):
+        means = self.environment.mean_rewards(contexts)
+        return int(np.argmax(means)), means
+
+    def update(self, context, reward) -> None:
+        pass
 
 
 def linear_linucb_config(horizon=40, reps=2, seed=3, noise=0.1):

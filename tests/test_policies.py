@@ -18,8 +18,6 @@ from neuralbandit.network import (
 from neuralbandit.policies import (
     DivergenceError,
     KernelUCB,
-    NeuralEpsilonGreedy,
-    NeuralEpsilonGreedy0,
     NeuralUCB,
     NeuralUCB0,
     TrainingConfig,
@@ -201,8 +199,7 @@ class TestNeuralUCB:
         train = TrainingConfig(eta=1e-3, j_steps=10, batch_size=None, cadence=5)
         ucb = NeuralUCB(shape, 1.0, ConstantWidth(0.0),
                         np.random.default_rng(67), train=train)
-        greedy = NeuralEpsilonGreedy(shape, 1.0, 0.0,
-                                     np.random.default_rng(67), train=train)
+        greedy = NeuralUCB(shape, 1.0, None, np.random.default_rng(67), train=train)
         stream = np.random.default_rng(68)
         secret = stream.standard_normal(8)
         actions_u, actions_g = [], []
@@ -243,10 +240,12 @@ class TestNeuralUCB:
 
 
 class TestNeuralEpsilonGreedy:
+    """The network learner with no width: greedy, or uniform with probability epsilon."""
+
     def test_full_exploration_is_uniform(self):
         shape = NetworkShape(4, 4, 2)
-        policy = NeuralEpsilonGreedy(shape, 1.0, 1.0, np.random.default_rng(71),
-                                     train=FAST_TRAIN)
+        policy = NeuralUCB(shape, 1.0, None, np.random.default_rng(71), train=FAST_TRAIN,
+                           epsilon=1.0)
         contexts = duplicated_contexts(4, 2, 72)
         counts = np.zeros(4)
         n = 10_000
@@ -258,8 +257,7 @@ class TestNeuralEpsilonGreedy:
 
     def test_zero_epsilon_is_deterministic_argmax(self):
         shape = NetworkShape(4, 4, 2)
-        policy = NeuralEpsilonGreedy(shape, 1.0, 0.0, np.random.default_rng(73),
-                                     train=FAST_TRAIN)
+        policy = NeuralUCB(shape, 1.0, None, np.random.default_rng(73), train=FAST_TRAIN)
         one = duplicated_contexts(1, 2, 74)
         contexts = np.vstack([one, one, one])
         action, _ = policy.select(contexts)
@@ -268,7 +266,7 @@ class TestNeuralEpsilonGreedy:
     def test_epsilon_out_of_range_rejected(self):
         shape = NetworkShape(4, 4, 2)
         with pytest.raises(ValueError):
-            NeuralEpsilonGreedy(shape, 1.0, 1.5, np.random.default_rng(75))
+            NeuralUCB(shape, 1.0, None, np.random.default_rng(75), epsilon=1.5)
 
 
 class TestNeuralUCB0:
@@ -354,11 +352,13 @@ class TestNeuralUCB0:
 
 
 class TestNeuralEpsilonGreedy0:
+    """The frozen-feature ridge learner with no width and epsilon > 0."""
+
     def test_maintains_ridge_regression(self):
         shape = NetworkShape(4, 4, 2)
         policy_rng = np.random.default_rng(86)
-        policy = NeuralEpsilonGreedy0(*gradient_feature_map(shape, policy_rng), 1.0, 0.2,
-                                      policy_rng)
+        policy = NeuralUCB0(*gradient_feature_map(shape, policy_rng), 1.0, None,
+                            epsilon=0.2, rng=policy_rng)
         rng = np.random.default_rng(87)
         chosen, rewards = [], []
         for _ in range(10):
@@ -374,6 +374,72 @@ class TestNeuralEpsilonGreedy0:
         assert np.allclose(policy.theta_offset, np.linalg.solve(design, phi.T @ rewards),
                            atol=1e-8)
         assert np.linalg.norm(policy.theta_offset) > 0
+
+
+class TestChoiceRule:
+    """The select/update that both learners share."""
+
+    @staticmethod
+    def learners(rng):
+        shape = NetworkShape(8, 8, 2)
+        yield NeuralUCB(shape, 1.0, ConstantWidth(0.5), rng, train=FAST_TRAIN)
+        yield NeuralUCB(shape, 1.0, None, rng, train=FAST_TRAIN)
+        yield NeuralUCB0(*gradient_feature_map(shape, rng), 1.0, ConstantWidth(0.5), rng=rng)
+        yield NeuralUCB0(*gradient_feature_map(shape, rng), 1.0, None, rng=rng)
+
+    def test_zero_epsilon_draws_nothing_from_the_generator(self):
+        rng = np.random.default_rng(94)
+        stream = np.random.default_rng(95)
+        for policy in self.learners(rng):
+            # full-gradient training draws nothing either
+            before = rng.bit_generator.state
+            for _ in range(12):
+                contexts = duplicated_contexts(4, 4, int(stream.integers(1 << 30)))
+                action, _ = policy.select(contexts)
+                policy.update(contexts[action], float(stream.standard_normal()))
+            assert rng.bit_generator.state == before
+
+    def test_no_width_keeps_no_design_and_takes_no_gradients(self, monkeypatch):
+        def no_gradients(*args):
+            raise AssertionError("gradient_batch called without a width")
+
+        monkeypatch.setattr("neuralbandit.policies.gradient_batch", no_gradients)
+        policy = NeuralUCB(NetworkShape(8, 8, 2), 1.0, None, np.random.default_rng(96),
+                           train=FAST_TRAIN, epsilon=0.3)
+        contexts = duplicated_contexts(4, 4, 97)
+        for _ in range(12):  # past the retrain at round 10
+            action, _ = policy.select(contexts)
+            policy.update(contexts[action], 1.0)
+        assert policy.design is None
+        assert policy.theta is not policy.theta0
+
+    def test_frozen_features_are_computed_once_per_select(self):
+        feature_map, dim = gradient_feature_map(NetworkShape(8, 8, 2),
+                                                np.random.default_rng(98))
+        calls = []
+        policy = NeuralUCB0(lambda x: calls.append(x) or feature_map(x), dim, 1.0,
+                            ConstantWidth(0.5))
+        policy.select(duplicated_contexts(4, 4, 99))
+        assert len(calls) == 1
+
+    def test_epsilon_explores_around_the_ucb_scores(self):
+        shape = NetworkShape(8, 8, 2)
+        ucb = NeuralUCB(shape, 1.0, ConstantWidth(0.5), np.random.default_rng(100),
+                        train=FAST_TRAIN)
+        explorer = NeuralUCB(shape, 1.0, ConstantWidth(0.5), np.random.default_rng(100),
+                             train=FAST_TRAIN, epsilon=1.0)
+        contexts = duplicated_contexts(4, 4, 101)
+        best, ucb_scores = ucb.select(contexts)
+        actions = set()
+        for _ in range(100):
+            action, scores = explorer.select(contexts)
+            assert np.array_equal(scores, ucb_scores)
+            actions.add(action)
+        assert actions == {0, 1, 2, 3}
+
+    def test_epsilon_without_a_generator_rejected(self):
+        with pytest.raises(ValueError, match="rng"):
+            NeuralUCB0(lambda x: x, 3, 1.0, None, epsilon=0.1)
 
 
 class TestLinUCB:

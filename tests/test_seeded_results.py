@@ -3,9 +3,10 @@
 Each case runs h1 or h3 with d=6, K=4, T=300, 2 repetitions from base seed 5
 under the neural protocol's lam=0.01 and eta=0.001 with a width-8 network,
 and compares the SHA-256 of each repetition's instant-regret vector (float64
-bytes) with the digest recorded below.  A change that keeps the floating-point operations and the generator draws in
-the same order keeps every digest.  A change meant to alter results must
-regenerate them, by running this file as a script, and say why.
+bytes) with the digest recorded below.  A change that keeps the
+floating-point operations and the generator draws in the same order keeps
+every digest.  A change meant to alter results must regenerate them, by
+running this file as a script, and say why.
 
     PYTHONPATH=src python3 tests/test_seeded_results.py
 """
