@@ -336,7 +336,7 @@ def _field_error(section, exc, fields, renamed) -> str:
 
 
 def _policy_errors(policy: PolicyConfig, environment) -> list:
-    """Build the policy a run would build on environment; what its constructors reject."""
+    """What the constructors of the policy a run would build on environment reject."""
     if policy.algorithm not in ALGORITHMS:
         return [f"policy.algorithm: unknown algorithm {policy.algorithm!r}, choose from {ALGORITHMS}"]
     # an environment that could not be built is an environment error, and a

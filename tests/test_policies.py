@@ -429,7 +429,7 @@ class TestChoiceRule:
         explorer = NeuralUCB(shape, 1.0, ConstantWidth(0.5), np.random.default_rng(100),
                              train=FAST_TRAIN, epsilon=1.0)
         contexts = duplicated_contexts(4, 4, 101)
-        best, ucb_scores = ucb.select(contexts)
+        _, ucb_scores = ucb.select(contexts)
         actions = set()
         for _ in range(100):
             action, scores = explorer.select(contexts)
