@@ -1,71 +1,56 @@
 #!/usr/bin/env python3
 """Compare bandit policies on one synthetic reward function.
 
-Runs every requested algorithm on the same seeded environment, prints a
-final-regret table, and writes per-algorithm result files under --out.
+Runs each requested algorithm from its config in configs/paper/ (the
+paper's protocol, one <algorithm>.json each), prints a final-regret table,
+and writes per-algorithm result files under --out.  An environment, reps or
+seed flag left unset keeps the value in the config files.
 
     python scripts/run_synthetic.py --kind h1 --horizon 2000 --reps 5 --out results/h1
 """
 
 import argparse
+import json
 from pathlib import Path
 
 import numpy as np
 
-from neuralbandit.harness import (
-    EnvironmentConfig,
-    ExperimentConfig,
-    PolicyConfig,
-    emit_results,
-    run_experiment,
-)
+from neuralbandit.environments import SYNTHETIC_KINDS
+from neuralbandit.harness import ALGORITHMS, ExperimentConfig, emit_results, run_experiment
 
-NEURAL = dict(width=20, depth=2, lam=0.01, eta=0.001, batch_size=50,
-              j_steps=None, cadence=50, preprocess=False)
-
-POLICIES = {
-    "neural_ucb": dict(algorithm="neural_ucb", gamma=0.1, **NEURAL),
-    "neural_greedy": dict(algorithm="neural_greedy", epsilon=0.01, **NEURAL),
-    "neural_ucb0": dict(algorithm="neural_ucb0", nu=1.0, delta=0.1, s_norm=1.0,
-                        lam=1.0, width=20, depth=2, preprocess=False),
-    "neural_greedy0": dict(algorithm="neural_greedy0", epsilon=0.01, lam=1.0,
-                           width=20, depth=2, preprocess=False),
-    "lin_ucb": dict(algorithm="lin_ucb", alpha=1.0),
-    "kernel_ucb": dict(algorithm="kernel_ucb", kernel_bandwidth=1.0,
-                       kernel_beta=1.0, kernel_cap=1000),
-    "random": dict(algorithm="random"),
-}
+PAPER_CONFIGS = Path(__file__).resolve().parent.parent / "configs" / "paper"
+ENVIRONMENT_FLAGS = ("kind", "dimension", "num_actions", "horizon", "noise_scale")
 
 
 def parse_args():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--kind", default="h1", choices=["h1", "h2", "h3", "linear"])
-    parser.add_argument("--dimension", type=int, default=20)
-    parser.add_argument("--actions", type=int, default=4)
-    parser.add_argument("--horizon", type=int, default=2000)
-    parser.add_argument("--noise", type=float, default=1.0)
-    parser.add_argument("--reps", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--algorithms", nargs="+", default=list(POLICIES),
-                        choices=list(POLICIES))
+    parser.add_argument("--kind", choices=SYNTHETIC_KINDS)
+    parser.add_argument("--dimension", type=int)
+    parser.add_argument("--actions", dest="num_actions", type=int)
+    parser.add_argument("--horizon", type=int)
+    parser.add_argument("--noise", dest="noise_scale", type=float)
+    parser.add_argument("--reps", dest="repetitions", type=int)
+    parser.add_argument("--seed", dest="base_seed", type=int)
+    parser.add_argument("--algorithms", nargs="+", default=list(ALGORITHMS),
+                        choices=ALGORITHMS)
     parser.add_argument("--out", default=None, help="directory for result files")
     return parser.parse_args()
 
 
+def load_config(name, args) -> ExperimentConfig:
+    """configs/paper/<name>.json with each flag that was given in place of its value."""
+    data = json.loads((PAPER_CONFIGS / f"{name}.json").read_text(encoding="utf-8"))
+    for section, keys in ((data["environment"], ENVIRONMENT_FLAGS),
+                          (data, ("repetitions", "base_seed"))):
+        section.update((k, getattr(args, k)) for k in keys if getattr(args, k) is not None)
+    return ExperimentConfig.from_dict(data)
+
+
 def main():
     args = parse_args()
-    environment = EnvironmentConfig(
-        kind=args.kind, dimension=args.dimension, num_actions=args.actions,
-        horizon=args.horizon, noise_scale=args.noise,
-    )
     rows = []
     for name in args.algorithms:
-        config = ExperimentConfig(
-            environment=environment,
-            policy=PolicyConfig(**POLICIES[name]),
-            repetitions=args.reps,
-            base_seed=args.seed,
-        )
+        config = load_config(name, args)
         results = run_experiment(config)
         finals = np.array([r.final_regret for r in results])
         rows.append((name, finals.mean(), finals.std(),
@@ -75,7 +60,7 @@ def main():
         if args.out:
             emit_results(results, Path(args.out) / name, label=name)
     best = min(rows, key=lambda r: r[1])
-    print(f"\nbest on {args.kind}: {best[0]} ({best[1]:.1f})")
+    print(f"\nbest on {config.environment.kind}: {best[0]} ({best[1]:.1f})")
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ file, failed check precondition), 2 on a runtime failure.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -82,10 +83,7 @@ def _load_matrix(path: str, what: str) -> np.ndarray:
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_dict(_load_json(args.config, "--config"))
     if args.seed is not None:
-        config = ExperimentConfig(
-            environment=config.environment, policy=config.policy,
-            repetitions=config.repetitions, base_seed=args.seed, output=config.output,
-        )
+        config = dataclasses.replace(config, base_seed=args.seed)
     out = args.out or config.output
     if out is None:
         raise ConfigError(["output: give --out or set \"output\" in the config"])
@@ -127,7 +125,7 @@ def _cmd_ntk(args) -> int:
         gram = ntk_gram(contexts, args.depth)
         dim = effective_dimension(gram, args.lam, args.tk)
         lines = []
-        for row in gram.entries:
+        for row in gram:
             lines.append(",".join("%.12g" % v for v in row))
         lines.append("effective_dimension,%.12g" % dim)
         if args.rewards is not None:

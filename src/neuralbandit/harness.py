@@ -105,6 +105,12 @@ class EnvironmentConfig:
                 errors.append(f"environment.dataset_path: no such file {self.dataset_path!r}")
             if not self.label_column:
                 errors.append("environment.label_column: required for dataset environments")
+            # the CSV decides these, so another value would only be copied into config.json
+            for name in ("dimension", "num_actions", "noise_scale"):
+                value, default = getattr(self, name), _ENVIRONMENT_DEFAULTS[name]
+                if type(value) is not type(default) or value != default:
+                    errors.append(f"environment.{name}: not used by dataset environments, "
+                                  f"leave it at {default!r}, got {value!r}")
         return errors
 
 
@@ -315,6 +321,7 @@ def _checked(config: ExperimentConfig) -> tuple:
 
 
 _ENVIRONMENT_FIELDS = frozenset(f.name for f in dataclasses.fields(EnvironmentConfig))
+_ENVIRONMENT_DEFAULTS = {f.name: f.default for f in dataclasses.fields(EnvironmentConfig)}
 _POLICY_FIELDS = frozenset(f.name for f in dataclasses.fields(PolicyConfig))
 # constructor parameters whose PolicyConfig field has another name
 _RENAMED_FIELDS = {"input_dim": "preprocess", "mode": "design_mode",

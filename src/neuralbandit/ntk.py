@@ -12,14 +12,11 @@ and a tangent accumulator through the layers, and returns the average of the
 two at the top.  Deterministic; rho is clamped to [-1, 1] to absorb rounding.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from neuralbandit.network import NetworkParams, check_real, gradient_batch
 
 __all__ = [
-    "GramMatrix",
     "ntk_gram",
     "empirical_gram",
     "effective_dimension",
@@ -31,14 +28,6 @@ SINGULARITY_THRESHOLD = 1e-10
 
 #: how negative the minimum eigenvalue may be before H is rejected as non-PSD
 PSD_TOLERANCE = -1e-6
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Dense symmetric PSD kernel matrix over n contexts, built at a given depth."""
-
-    entries: np.ndarray
-    depth: int
 
 
 def _relu_moments(cov: np.ndarray):
@@ -74,7 +63,7 @@ def _as_context_matrix(contexts) -> np.ndarray:
     return x
 
 
-def ntk_gram(contexts, depth: int) -> GramMatrix:
+def ntk_gram(contexts, depth: int) -> np.ndarray:
     """Exact kernel Gram matrix over unit-norm contexts at the given depth.
 
     Every row of `contexts` must have unit norm (tolerance 1e-8); depth >= 2.
@@ -91,7 +80,7 @@ def ntk_gram(contexts, depth: int) -> GramMatrix:
     cov, tangent = _kernel_recursion(x, depth)
     h = (tangent + cov) / 2.0
     h = (h + h.T) / 2.0
-    return GramMatrix(entries=h, depth=depth)
+    return h
 
 
 def empirical_gram(params0: NetworkParams, contexts) -> np.ndarray:
@@ -108,8 +97,6 @@ def empirical_gram(params0: NetworkParams, contexts) -> np.ndarray:
 
 
 def _check_gram(h) -> np.ndarray:
-    if isinstance(h, GramMatrix):
-        h = h.entries
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"Gram matrix must be square, got shape {h.shape}")

@@ -8,6 +8,7 @@ benchmark and takes a few minutes; everything else is seconds.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from neuralbandit.harness import (
     EnvironmentConfig,
     ExperimentConfig,
     PolicyConfig,
-    emit_results,
+    grid_search,
     run_experiment,
 )
 from neuralbandit.network import (
@@ -124,7 +125,7 @@ def test_criterion_03_gram_convergence_trend():
     rng = np.random.default_rng(1003)
     contexts = rng.standard_normal((5, 4))
     contexts /= np.linalg.norm(contexts, axis=1, keepdims=True)
-    exact = ntk_gram(contexts, 2).entries
+    exact = ntk_gram(contexts, 2)
     with Budget(120.0) as budget:
         medians = []
         for m in (16, 256, 4096):
@@ -146,9 +147,9 @@ def test_criterion_03_gram_convergence_trend():
 
 def test_criterion_04_ntk_exact_values_with_monte_carlo_cross_check():
     with Budget(60.0) as budget:
-        single = ntk_gram(np.array([[1.0, 0.0]]), 2).entries[0, 0]
+        single = ntk_gram(np.array([[1.0, 0.0]]), 2)[0, 0]
         assert single == pytest.approx(1.5, abs=1e-9)
-        pair = ntk_gram(np.eye(2), 2).entries
+        pair = ntk_gram(np.eye(2), 2)
         assert pair[0, 1] == pytest.approx(1.0 / np.pi, abs=1e-9)
 
         # 1e7-sample Monte Carlo of the bivariate ReLU moments, composed
@@ -314,47 +315,30 @@ def test_criterion_08_training_descends():
               f"in {losses.size - 1} steps", budget)
 
 
-# Scaled replication of the paper's synthetic comparison.  The neural
-# policies use the experimental protocol (raw contexts, m=20 two-layer
-# network, SGD batch 50, J = t, retrain every 50 rounds); gamma and epsilon
-# come from small grids, everything else is fixed.
-BENCH_ENV = dict(dimension=20, num_actions=4, horizon=2000, noise_scale=1.0)
-BENCH_NEURAL = dict(width=20, depth=2, lam=0.01, eta=0.001, batch_size=50,
-                    j_steps=None, cadence=50, preprocess=False)
-BENCH_SEED = 42
-BENCH_REPS = 5
-GAMMA_GRID = (0.01, 0.1, 1.0)
-EPSILON_GRID = (0.01, 0.1)
-ALPHA_GRID = (0.1, 1.0)
-
-
-def _bench_mean(kind, policy_kwargs):
-    config = ExperimentConfig(
-        environment=EnvironmentConfig(kind=kind, **BENCH_ENV),
-        policy=PolicyConfig(**policy_kwargs),
-        repetitions=BENCH_REPS,
-        base_seed=BENCH_SEED,
-    )
-    return float(np.mean([r.final_regret for r in run_experiment(config)]))
+# Scaled replication of the paper's synthetic comparison.  Each policy runs
+# from its configs/paper/ file, which holds the paper's protocol, and its
+# gamma, epsilon or alpha comes from the matching grid file there, searched as
+# `neuralbandit grid` searches it.
+PAPER_CONFIGS = Path(__file__).resolve().parent.parent / "configs" / "paper"
 
 
 def _best(kind, grids):
+    """The best grid mean of each (config file, grid file) pair on reward kind."""
     best = {}
-    for label, (param, values, fixed) in grids.items():
-        best[label] = min(
-            _bench_mean(kind, {**fixed, param: v}) for v in values
-        )
+    for label, names in grids.items():
+        data, grid = (json.loads((PAPER_CONFIGS / name).read_text(encoding="utf-8"))
+                      for name in names)
+        data["environment"]["kind"] = kind
+        _, table = grid_search(ExperimentConfig.from_dict(data), grid)
+        best[label] = next(e.mean_final_regret for e in table if e.best)
     return best
 
 
 def test_criterion_09_qualitative_regret_ordering():
     with Budget(900.0) as budget:
-        ucb = ("gamma", GAMMA_GRID,
-               dict(algorithm="neural_ucb", **BENCH_NEURAL))
-        greedy = ("epsilon", EPSILON_GRID,
-                  dict(algorithm="neural_greedy", **BENCH_NEURAL))
-        lin = ("alpha", ALPHA_GRID,
-               dict(algorithm="lin_ucb", preprocess=False))
+        ucb = ("neural_ucb.json", "gamma_grid.json")
+        greedy = ("neural_greedy.json", "epsilon_grid.json")
+        lin = ("lin_ucb.json", "alpha_grid.json")
         h1 = _best("h1", {"ucb": ucb, "greedy": greedy, "lin": lin})
         h3 = _best("h3", {"ucb": ucb, "lin": lin})
         assert h1["ucb"] < h1["lin"], f"h1: NeuralUCB {h1['ucb']:.0f} vs LinUCB {h1['lin']:.0f}"

@@ -47,6 +47,15 @@ def linear_linucb_config(horizon=40, reps=2, seed=3, noise=0.1):
     )
 
 
+def two_row_dataset_errors(tmp_path, **env_fields):
+    """validate()'s errors for one round of random play with a two-row CSV as dataset_path."""
+    path = tmp_path / "tiny.csv"
+    path.write_text("a,b,label\n1,2,x\n3,4,y\n", encoding="utf-8")
+    env = EnvironmentConfig(horizon=1, dataset_path=str(path), label_column="label", **env_fields)
+    return ExperimentConfig(environment=env, policy=PolicyConfig(algorithm="random"),
+                            repetitions=1).validate()
+
+
 def tiny_neural_config(**env_overrides):
     env = dict(kind="h1", dimension=4, num_actions=3, horizon=20, noise_scale=0.5)
     env.update(env_overrides)
@@ -246,13 +255,14 @@ class TestValidation:
 
     @pytest.mark.parametrize("kind", ["h1", "dataset"])
     def test_non_bool_shuffle_is_named(self, kind, tmp_path):
-        path = tmp_path / "tiny.csv"
-        path.write_text("a,b,label\n1,2,x\n3,4,y\n", encoding="utf-8")
-        env = EnvironmentConfig(kind=kind, horizon=1, dataset_path=str(path),
-                                label_column="label", shuffle="no")
-        errors = ExperimentConfig(environment=env, policy=PolicyConfig(algorithm="random"),
-                                  repetitions=1).validate()
+        errors = two_row_dataset_errors(tmp_path, kind=kind, shuffle="no")
         assert errors == ["environment.shuffle: must be true or false, got 'no'"]
+
+    @pytest.mark.parametrize("field_name,value", [
+        ("noise_scale", "abc"), ("dimension", -3), ("num_actions", 2.5)])
+    def test_dataset_rejects_a_synthetic_only_value(self, field_name, value, tmp_path):
+        errors = two_row_dataset_errors(tmp_path, kind="dataset", **{field_name: value})
+        assert len(errors) == 1 and errors[0].startswith(f"environment.{field_name}:"), errors
 
     @pytest.mark.parametrize("policy_fields,field_name,message", [
         pytest.param({"nu": math.nan}, "policy.nu", "must be finite", id="policy-nan-nu"),

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from neuralbandit.network import NetworkShape, init_plain, init_symmetric
 from neuralbandit.ntk import (
-    GramMatrix,
     _kernel_recursion,
     effective_dimension,
     empirical_gram,
@@ -42,19 +41,19 @@ def mc_relu_moments(rho, samples, seed):
 class TestNtkGram:
     def test_single_unit_context_depth_two(self):
         gram = ntk_gram(np.array([[1.0, 0.0]]), 2)
-        assert gram.entries[0, 0] == pytest.approx(1.5, abs=1e-12)
+        assert gram[0, 0] == pytest.approx(1.5, abs=1e-12)
 
     def test_orthogonal_pair_depth_two(self):
         gram = ntk_gram(np.eye(2), 2)
-        assert gram.entries[0, 1] == pytest.approx(1.0 / np.pi, abs=1e-12)
-        assert gram.entries[0, 0] == pytest.approx(1.5, abs=1e-12)
-        assert gram.entries[1, 1] == pytest.approx(1.5, abs=1e-12)
+        assert gram[0, 1] == pytest.approx(1.0 / np.pi, abs=1e-12)
+        assert gram[0, 0] == pytest.approx(1.5, abs=1e-12)
+        assert gram[1, 1] == pytest.approx(1.5, abs=1e-12)
 
     def test_identical_contexts_are_singular(self):
         x = np.array([[0.6, 0.8], [0.6, 0.8]])
         gram = ntk_gram(x, 2)
-        assert np.allclose(gram.entries, 1.5, atol=1e-12)
-        assert np.linalg.eigvalsh(gram.entries)[0] == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(gram, 1.5, atol=1e-12)
+        assert np.linalg.eigvalsh(gram)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_closed_form_matches_monte_carlo(self):
         # spot-check the arc-cosine moments against simulation at a few rho
@@ -78,8 +77,7 @@ class TestNtkGram:
     @settings(max_examples=25, deadline=None)
     def test_symmetric_psd_for_random_context_sets(self, seed, depth, n):
         x = random_unit_contexts(n, 6, seed)
-        gram = ntk_gram(x, depth)
-        h = gram.entries
+        h = ntk_gram(x, depth)
         assert np.max(np.abs(h - h.T)) <= 1e-10
         assert np.linalg.eigvalsh(h)[0] >= -1e-8
 
@@ -87,7 +85,7 @@ class TestNtkGram:
     @settings(max_examples=20, deadline=None)
     def test_diagonal_depends_only_on_depth(self, seed, depth):
         x = random_unit_contexts(5, 4, seed)
-        diag = np.diag(ntk_gram(x, depth).entries)
+        diag = np.diag(ntk_gram(x, depth))
         assert np.max(np.abs(diag - diag[0])) <= 1e-10
         if depth == 2:
             assert diag[0] == pytest.approx(1.5, abs=1e-12)
@@ -108,7 +106,7 @@ class TestEmpiricalGram:
 
     def test_width_trend_toward_closed_form(self):
         contexts = random_unit_contexts(5, 4, 25)
-        exact = ntk_gram(contexts, 2).entries
+        exact = ntk_gram(contexts, 2)
         medians = []
         for m in (16, 256):
             dists = [
@@ -147,10 +145,6 @@ class TestEffectiveDimension:
     def test_rank_one_diagonal(self):
         val = effective_dimension(np.diag([3.0, 0.0, 0.0]), 1.0, 3)
         assert val == pytest.approx(1.0, abs=1e-12)
-
-    def test_accepts_gram_matrix_wrapper(self):
-        gram = GramMatrix(entries=np.eye(2), depth=2)
-        assert effective_dimension(gram, 1.0, 2) > 0
 
     def test_matches_eigenvalue_evaluation(self):
         rng = np.random.default_rng(31)
