@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ntk_p = sub.add_parser("ntk", help="dump the kernel Gram matrix for a context file")
     ntk_p.add_argument("--contexts", required=True,
-                       help="CSV with one unit-norm context per row (no header)")
+                       help="CSV with one nonzero context per row (no header)")
     ntk_p.add_argument("--depth", type=int, required=True, help="network depth L >= 2")
     ntk_p.add_argument("--lambda", dest="lam", type=float, required=True,
                        help="regularization for the effective dimension")
@@ -77,6 +77,8 @@ def _load_matrix(path: str, what: str) -> np.ndarray:
         data = np.loadtxt(p, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ConfigError([f"{what}: could not parse {path!r}: {exc}"]) from None
+    if data.size == 0:
+        raise ConfigError([f"{what}: no values in {path!r}"])
     return data
 
 

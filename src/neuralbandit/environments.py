@@ -196,8 +196,9 @@ def load_csv(path, label_column: str) -> CsvDataset:
     """Read a header-ed CSV with one label column and numeric features.
 
     Labels map to contiguous class ids in first-appearance order, and the
-    class count is the number observed.  A non-numeric or non-finite (nan,
-    inf) feature cell is an error naming the row and column.
+    class count is the number observed.  A header with no feature column is
+    an error, and so is a non-numeric or non-finite (nan, inf) feature cell,
+    named by its row and column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -209,6 +210,8 @@ def load_csv(path, label_column: str) -> CsvDataset:
             raise ValueError(
                 f"{path}: label column {label_column!r} not found in header {header}"
             )
+        if len(header) < 2:
+            raise ValueError(f"{path}: no feature column besides the label column")
         label_idx = header.index(label_column)
         label_ids: dict[str, int] = {}
         features, labels = [], []

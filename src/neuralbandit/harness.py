@@ -124,9 +124,8 @@ class PolicyConfig:
     design_mode: str = "full"
     preprocess: bool | None = None  # None: on for neural algorithms, off otherwise
     # exploration
-    gamma: float | None = 0.1  # a number, or null for NeuralUCB's theoretical width
+    gamma: float | None = 0.1  # every UCB width; null gives NeuralUCB its theoretical one
     epsilon: float = 0.1
-    alpha: float = 1.0
     nu: float = 1.0
     delta: float = 0.1
     s_norm: float = 1.0
@@ -138,7 +137,6 @@ class PolicyConfig:
     train_start: int = 0
     # kernel
     kernel_bandwidth: float = 1.0
-    kernel_beta: float = 1.0
     kernel_cap: int = 1000
 
     def resolved_preprocess(self) -> bool:
@@ -245,14 +243,10 @@ def _build_policy(cfg: PolicyConfig, env, rng):
     if algo == "random":
         return policies.UniformRandomPolicy(rng)
     if algo == "lin_ucb":
-        try:
-            width = ConstantWidth(cfg.alpha)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"alpha: {exc}") from None
         dim = 2 * raw_dim if cfg.resolved_preprocess() else raw_dim
-        return policies.NeuralUCB0(lambda x: x, dim, cfg.lam, width)
+        return policies.NeuralUCB0(lambda x: x, dim, cfg.lam, ConstantWidth(cfg.gamma))
     if algo == "kernel_ucb":
-        return policies.KernelUCB(cfg.kernel_bandwidth, cfg.kernel_beta,
+        return policies.KernelUCB(cfg.kernel_bandwidth, ConstantWidth(cfg.gamma),
                                   lam=cfg.lam, cap=cfg.kernel_cap)
     shape = _network_shape(cfg, raw_dim)
     if algo == "neural_ucb":
@@ -325,7 +319,7 @@ _ENVIRONMENT_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Environme
 _POLICY_FIELDS = frozenset(f.name for f in dataclasses.fields(PolicyConfig))
 # constructor parameters whose PolicyConfig field has another name
 _RENAMED_FIELDS = {"input_dim": "preprocess", "mode": "design_mode",
-                   "bandwidth": "kernel_bandwidth", "beta": "kernel_beta", "cap": "kernel_cap"}
+                   "bandwidth": "kernel_bandwidth", "cap": "kernel_cap"}
 
 
 def _field_error(section, exc, fields, renamed) -> str:
@@ -436,8 +430,9 @@ def grid_search(config: ExperimentConfig, grid: dict):
 
     Returns (best_config, table).  Every combination is validated before any
     runs, and the problems of each invalid one are raised together, named by
-    its overrides.  Best is the combination with the lowest mean final
-    cumulative regret; ties go to the earliest combination in declared order.
+    its overrides; a dataset read by validation is kept for the runs.  Best
+    is the combination with the lowest mean final cumulative regret; ties go
+    to the earliest combination in declared order.
     A combination whose training diverges is kept in the table with nan
     statistics and does not stop the others; if every one diverges, the
     first divergence is raised.
@@ -453,22 +448,28 @@ def grid_search(config: ExperimentConfig, grid: dict):
     paths = list(grid)
     combos = []
     errors = []
+    datasets = {}  # one copy per CSV file is kept, however many combinations read it
     for combo in itertools.product(*(grid[p] for p in paths)):
         cfg = config
         for path, value in zip(paths, combo):
             cfg = _apply_override(cfg, path, value)
         overrides = dict(zip(paths, combo))
-        errors += [f"grid {overrides}: {e}" for e in cfg.validate()]
-        combos.append((overrides, cfg))
+        dataset, problems = _checked(cfg)
+        errors += [f"grid {overrides}: {e}" for e in problems]
+        if dataset is not None:
+            env = cfg.environment
+            dataset = datasets.setdefault((env.dataset_path, env.label_column), dataset)
+        combos.append((overrides, cfg, dataset))
     if errors:
         raise ConfigError(errors)
     table = []
     best = None
     best_config = None
     first_error = None
-    for overrides, cfg in combos:
+    for overrides, cfg, dataset in combos:
         try:
-            finals = np.array([r.final_regret for r in run_experiment(cfg)])
+            finals = np.array([run_single(cfg, rep, dataset=dataset).final_regret
+                               for rep in range(cfg.repetitions)])
             entry = GridEntry(overrides, float(finals.mean()), float(finals.std()))
         except policies.DivergenceError as exc:
             first_error = first_error or exc

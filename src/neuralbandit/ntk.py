@@ -64,19 +64,19 @@ def _as_context_matrix(contexts) -> np.ndarray:
 
 
 def ntk_gram(contexts, depth: int) -> np.ndarray:
-    """Exact kernel Gram matrix over unit-norm contexts at the given depth.
+    """Exact kernel Gram matrix over nonzero finite contexts at the given depth.
 
-    Every row of `contexts` must have unit norm (tolerance 1e-8); depth >= 2.
+    The bias-free ReLU kernel is homogeneous, H(x, y) = |x| |y| H(x/|x|, y/|y|),
+    so rows need not be unit-norm; a row whose norm is zero (no direction)
+    or not finite in float64 is rejected.  depth >= 2.
     """
     x = _as_context_matrix(contexts)
     if depth < 2:
         raise ValueError(f"depth must be >= 2, got {depth}")
     norms = np.linalg.norm(x, axis=1)
-    bad = np.where(np.abs(norms - 1.0) > 1e-8)[0]
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
     if bad.size:
-        raise ValueError(
-            f"context rows {bad.tolist()} are not unit-norm (norms {norms[bad].tolist()})"
-        )
+        raise ValueError(f"context rows {bad.tolist()} have a zero or non-finite norm")
     cov, tangent = _kernel_recursion(x, depth)
     h = (tangent + cov) / 2.0
     h = (h + h.T) / 2.0
@@ -98,8 +98,8 @@ def empirical_gram(params0: NetworkParams, contexts) -> np.ndarray:
 
 def _check_gram(h) -> np.ndarray:
     h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"Gram matrix must be square, got shape {h.shape}")
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
+        raise ValueError(f"Gram matrix must be square and nonempty, got shape {h.shape}")
     return h
 
 

@@ -1,9 +1,10 @@
-"""Bandit policies: two neural learners under one choice rule, and baselines.
+"""Bandit policies: three learners under one UCB choice rule, and a random baseline.
 
-The neural policies are two learners that share one select and one update:
-NeuralUCB retrains a reward network online, and NeuralUCB0 runs ridge
-regression on frozen features.  Each scores an arm by its predicted mean,
-plus a confidence width over its features when given one, and with
+The UCB policies are learners that share one select and one update:
+NeuralUCB retrains a reward network online, NeuralUCB0 runs ridge regression
+on frozen features (LinUCB on the identity map), and KernelUCB runs kernel
+ridge regression.  Each scores an arm by its predicted mean, plus a width
+times the root of the arm's posterior variance when given a width, and with
 probability epsilon plays a uniform arm instead.  Every policy exposes
 
     select(contexts) -> (action, scores)   # contexts: (K, d) array
@@ -155,15 +156,15 @@ def _check_contexts(contexts) -> np.ndarray:
     return contexts
 
 
-class _NeuralPolicy:
-    """The choice rule of both learners, over their predicted means and features.
+class _UCBPolicy:
+    """The choice rule of every learner, over its predicted means and variances.
 
-    An arm scores its predicted mean, plus gamma * sqrt(f^T Z^{-1} f) over its
-    feature row f when a width provider is given; gamma is the provider's
-    value at the current round and log-det ratio.  With probability epsilon
-    the policy plays a uniform arm instead, and epsilon = 0 draws nothing from
-    rng.  A learner supplies _predict (means, and feature rows when a width
-    is given), _learn and t, and keeps the design Z when a width is given.
+    An arm scores its predicted mean, plus gamma * sqrt(v) over the learner's
+    squared width v of that arm when a width provider is given; gamma is the
+    provider's value at the current round and the learner's log-det ratio.
+    With probability epsilon the policy plays a uniform arm instead, and
+    epsilon = 0 draws nothing from rng.  A learner supplies _predict (means,
+    and squared widths when a width is given), _learn, t and log_det_ratio.
     """
 
     def __init__(self, width, epsilon, rng):
@@ -178,12 +179,10 @@ class _NeuralPolicy:
         self.gamma = None if width is None else width(0, 0.0)
 
     def select(self, contexts):
-        means, feats = self._predict(_check_contexts(contexts))
+        means, squared_widths = self._predict(_check_contexts(contexts))
         scores = means
         if self.width_provider is not None:
-            bonus = np.array([math.sqrt(max(self.design.quadratic_form(f), 0.0))
-                              for f in feats])
-            scores = means + self.gamma * bonus
+            scores = means + self.gamma * np.sqrt(np.maximum(squared_widths, 0.0))
         if self.epsilon > 0.0 and self.rng.random() < self.epsilon:
             return int(self.rng.integers(scores.shape[0])), scores
         return int(np.argmax(scores)), scores
@@ -191,10 +190,19 @@ class _NeuralPolicy:
     def update(self, context, reward) -> None:
         self._learn(context, reward)
         if self.width_provider is not None:
-            self.gamma = self.width_provider(self.t, self.design.log_det_ratio())
+            self.gamma = self.width_provider(self.t, self.log_det_ratio())
+
+    def log_det_ratio(self) -> float:
+        """log(det Z / det lam*I) of the design Z over the features of the chosen arms."""
+        return self.design.log_det_ratio()
 
 
-class NeuralUCB(_NeuralPolicy):
+def _quadratic_forms(design, feats) -> np.ndarray:
+    """f^T Z^{-1} f for each feature row f."""
+    return np.array([design.quadratic_form(f) for f in feats])
+
+
+class NeuralUCB(_UCBPolicy):
     """The learner that retrains a reward network online.
 
     Means are f(x; theta).  With a width, the features are g(x; theta) / sqrt(m)
@@ -229,7 +237,7 @@ class NeuralUCB(_NeuralPolicy):
         means = forward_batch(self.theta, contexts)
         if self.design is None:
             return means, None
-        return means, self._scaled_gradients(contexts)
+        return means, _quadratic_forms(self.design, self._scaled_gradients(contexts))
 
     def _learn(self, context, reward) -> None:
         if self.design is not None:
@@ -259,7 +267,7 @@ def gradient_feature_map(shape: NetworkShape, rng: np.random.Generator):
     return (lambda x: gradient_batch(theta0, x) / scale), shape.num_params
 
 
-class NeuralUCB0(_NeuralPolicy):
+class NeuralUCB0(_UCBPolicy):
     """The learner that runs online ridge regression on a frozen feature map phi.
 
     Means are phi^T (theta - theta0), with the closed-form ridge estimate, and
@@ -281,7 +289,8 @@ class NeuralUCB0(_NeuralPolicy):
 
     def _predict(self, contexts):
         phi = self.feature_map(contexts)
-        return phi @ self.theta_offset, phi
+        widths = None if self.width_provider is None else _quadratic_forms(self.design, phi)
+        return phi @ self.theta_offset, widths
 
     def _learn(self, context, reward) -> None:
         phi = self.feature_map(_check_contexts(context))[0]
@@ -291,36 +300,34 @@ class NeuralUCB0(_NeuralPolicy):
         self.t += 1
 
 
-class KernelUCB:
-    """Kernel ridge UCB with an RBF kernel and a capped context buffer.
+class KernelUCB(_UCBPolicy):
+    """The learner that runs kernel ridge regression with an RBF kernel.
 
-    The Cholesky factor of (K + lam I) grows by one row per observation;
-    once the buffer hits the cap the model is frozen and later rewards are
-    ignored.
+    Means are k^T (K + lam I)^{-1} y and squared widths the posterior variance
+    1 - ||L^{-1} k||^2 (0 and 1 before any data), with L the Cholesky factor of
+    K + lam I.  L grows by one row per observation; once the context buffer
+    hits the cap the model is frozen and later rewards are ignored.
     """
 
-    def __init__(self, bandwidth: float, beta: float, lam: float = 1.0, cap: int = 1000):
+    def __init__(self, bandwidth: float, width, lam: float = 1.0, cap: int = 1000):
+        super().__init__(width, 0.0, None)
         # an infinite bandwidth is the constant-kernel limit, where every arm ties
         if bandwidth != math.inf:
             check_real("bandwidth", bandwidth)
-        check_real("beta", beta)
         check_real("lam", lam)
         if not bandwidth > 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-        if beta < 0:
-            raise ValueError(f"beta must be >= 0, got {beta}")
         if lam <= 0:
             raise ValueError(f"lam must be positive, got {lam}")
         check_integer("cap", cap)
         if cap < 1:
             raise ValueError(f"cap must be >= 1, got {cap}")
         self.bandwidth = bandwidth
-        self.beta = beta
         self.lam = lam
         self.cap = cap
-        self._x = None           # (n, d) stored contexts
-        self._chol = None        # lower Cholesky of K + lam I
-        self._coef = None        # (K + lam I)^{-1} y
+        self._x = None                 # (n, d) stored contexts
+        self._chol = np.zeros((0, 0))  # lower Cholesky of K + lam I
+        self._coef = None              # (K + lam I)^{-1} y
         self._y = []
         self.t = 0
 
@@ -330,37 +337,35 @@ class KernelUCB:
         with np.errstate(over="ignore"):
             return np.exp(-np.maximum(sq, 0.0) / (2.0 * self.bandwidth**2))
 
-    def select(self, contexts):
-        contexts = _check_contexts(contexts)
+    def _predict(self, contexts):
         if self._x is None:
-            scores = np.full(contexts.shape[0], self.beta)
-            return int(np.argmax(scores)), scores
+            return np.zeros(contexts.shape[0]), np.ones(contexts.shape[0])
         kt = self._kernel(self._x, contexts)          # (n, K)
-        means = kt.T @ self._coef
         half = solve_triangular(self._chol, kt, lower=True)
-        var = 1.0 - np.sum(half * half, axis=0)       # RBF diagonal is 1
-        scores = means + self.beta * np.sqrt(np.maximum(var, 0.0))
-        return int(np.argmax(scores)), scores
+        return kt.T @ self._coef, 1.0 - np.sum(half * half, axis=0)  # RBF diagonal is 1
 
-    def update(self, context, reward) -> None:
+    def log_det_ratio(self) -> float:
+        """log det(I + K/lam) over the buffered contexts."""
+        diag = np.diag(self._chol)
+        return 2.0 * float(np.sum(np.log(diag))) - diag.size * math.log(self.lam)
+
+    def _learn(self, context, reward) -> None:
         self.t += 1
-        if self._x is not None and self._x.shape[0] >= self.cap:
-            return
         x = np.asarray(context, dtype=np.float64)[None, :]
         if self._x is None:
-            self._x = x
-            self._chol = np.array([[math.sqrt(1.0 + self.lam)]])
-        else:
-            k = self._kernel(self._x, x)[:, 0]
-            row = solve_triangular(self._chol, k, lower=True)
-            corner = math.sqrt(max(1.0 + self.lam - float(row @ row), self.lam * 1e-12))
-            n = self._chol.shape[0]
-            grown = np.zeros((n + 1, n + 1))
-            grown[:n, :n] = self._chol
-            grown[n, :n] = row
-            grown[n, n] = corner
-            self._chol = grown
-            self._x = np.vstack([self._x, x])
+            self._x = np.empty((0, x.shape[1]))
+        elif self._x.shape[0] >= self.cap:
+            return
+        k = self._kernel(self._x, x)[:, 0]
+        row = solve_triangular(self._chol, k, lower=True)
+        corner = math.sqrt(max(1.0 + self.lam - float(row @ row), self.lam * 1e-12))
+        n = self._chol.shape[0]
+        grown = np.zeros((n + 1, n + 1))
+        grown[:n, :n] = self._chol
+        grown[n, :n] = row
+        grown[n, n] = corner
+        self._chol = grown
+        self._x = np.vstack([self._x, x])
         self._y.append(float(reward))
         y = np.asarray(self._y)
         self._coef = solve_triangular(

@@ -317,7 +317,7 @@ def test_criterion_08_training_descends():
 
 # Scaled replication of the paper's synthetic comparison.  Each policy runs
 # from its configs/paper/ file, which holds the paper's protocol, and its
-# gamma, epsilon or alpha comes from the matching grid file there, searched as
+# gamma or epsilon comes from the matching grid file there, searched as
 # `neuralbandit grid` searches it.
 PAPER_CONFIGS = Path(__file__).resolve().parent.parent / "configs" / "paper"
 
@@ -338,7 +338,7 @@ def test_criterion_09_qualitative_regret_ordering():
     with Budget(900.0) as budget:
         ucb = ("neural_ucb.json", "gamma_grid.json")
         greedy = ("neural_greedy.json", "epsilon_grid.json")
-        lin = ("lin_ucb.json", "alpha_grid.json")
+        lin = ("lin_ucb.json", "lin_ucb_gamma_grid.json")
         h1 = _best("h1", {"ucb": ucb, "greedy": greedy, "lin": lin})
         h3 = _best("h3", {"ucb": ucb, "lin": lin})
         assert h1["ucb"] < h1["lin"], f"h1: NeuralUCB {h1['ucb']:.0f} vs LinUCB {h1['lin']:.0f}"
@@ -354,7 +354,7 @@ def test_criterion_10_linucb_sublinearity_on_linear_rewards():
     config = ExperimentConfig(
         environment=EnvironmentConfig(kind="linear", dimension=5, num_actions=10,
                                       horizon=2000, noise_scale=0.1),
-        policy=PolicyConfig(algorithm="lin_ucb", alpha=1.0, lam=1.0),
+        policy=PolicyConfig(algorithm="lin_ucb", gamma=1.0, lam=1.0),
         repetitions=5,
         base_seed=1013,
     )

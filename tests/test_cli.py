@@ -64,6 +64,10 @@ class TestRun:
                      id="odd-dimension-unpreprocessed"),
         pytest.param({}, {"gamma_inputs": {}}, {}, "policy.gamma_inputs",
                      id="removed-gamma-inputs"),
+        pytest.param({}, {"algorithm": "lin_ucb", "alpha": 1.0}, {}, "policy.alpha: unknown key",
+                     id="removed-alpha"),
+        pytest.param({}, {"algorithm": "kernel_ucb", "kernel_beta": 1.0}, {},
+                     "policy.kernel_beta: unknown key", id="removed-kernel-beta"),
         pytest.param({}, {}, {"repetitions": "2"}, "repetitions", id="string-repetitions"),
         pytest.param({"horizon": 5.5}, {}, {}, "environment.horizon", id="fractional-horizon"),
         pytest.param({"num_actions": 2.5}, {}, {}, "environment.num_actions",
@@ -98,6 +102,7 @@ class TestRun:
     @pytest.mark.parametrize("csv_text", [
         pytest.param("a,b,label\n1,2,x\nabc,4,y\n", id="non-numeric-cell"),
         pytest.param("a,b,class\n1,2,x\n3,4,y\n", id="missing-label-column"),
+        pytest.param("label\nx\ny\nx\n", id="no-feature-column"),
     ])
     def test_dataset_load_error_exits_one_naming_path(self, tmp_path, capsys, csv_text):
         dataset = tmp_path / "data.csv"
@@ -109,7 +114,8 @@ class TestRun:
             policy={"algorithm": "random"},
         )
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
-        assert "environment.dataset_path" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "environment.dataset_path" in err and str(dataset) in err
 
     def test_dataset_policy_is_checked_against_the_context_dimension(self, tmp_path, capsys):
         # 3 features and 3 classes give 9-dimensional contexts, which the
@@ -142,10 +148,10 @@ class TestRun:
 
 class TestGrid:
     def test_grid_smoke(self, tmp_path, capsys):
-        config = write_config(tmp_path, policy={"algorithm": "lin_ucb", "alpha": 1.0},
+        config = write_config(tmp_path, policy={"algorithm": "lin_ucb", "gamma": 1.0},
                               repetitions=1)
         grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps({"policy.alpha": [0.1, 1.0]}), encoding="utf-8")
+        grid.write_text(json.dumps({"policy.gamma": [0.1, 1.0]}), encoding="utf-8")
         out = tmp_path / "grid_out"
         assert main(["grid", "--config", str(config), "--grid", str(grid),
                      "--out", str(out)]) == 0
@@ -206,12 +212,25 @@ class TestNtk:
                      "--lambda", "1.0", "--tk", "4", "--out", str(target)]) == 0
         assert "effective_dimension" in target.read_text()
 
-    def test_non_unit_context_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text,message", [
+        pytest.param("1,1\n0,0\n", "rows [1] have a zero or non-finite norm", id="zero-row"),
+        pytest.param("", "--contexts: no values in", id="empty-file"),
+    ])
+    def test_unusable_contexts_exit_one(self, tmp_path, capsys, text, message):
         contexts = tmp_path / "ctx.csv"
-        contexts.write_text("1,1\n0,1\n", encoding="utf-8")
+        contexts.write_text(text, encoding="utf-8")
         assert main(["ntk", "--contexts", str(contexts), "--depth", "2",
                      "--lambda", "1.0", "--tk", "4"]) == 1
-        assert "unit-norm" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    def test_non_unit_contexts_scale_the_gram(self, tmp_path, capsys):
+        contexts = tmp_path / "ctx.csv"
+        contexts.write_text("2,0\n0,3\n", encoding="utf-8")
+        assert main(["ntk", "--contexts", str(contexts), "--depth", "2",
+                     "--lambda", "1.0", "--tk", "4"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[:2]]
+        assert float(rows[0][0]) == pytest.approx(1.5 * 4, rel=1e-12)
+        assert float(rows[0][1]) == pytest.approx(6.0 / np.pi, rel=1e-9)
 
     @pytest.mark.parametrize("flag,value,message", [
         pytest.param("--depth", "1", "depth must be >= 2", id="depth-1"),

@@ -34,7 +34,7 @@ def test_run_synthetic_script_runs_every_algorithm(tmp_path):
 PAPER = ROOT / "configs" / "paper"
 # the base config each grid file varies, as acceptance criterion 9 pairs them
 GRID_BASES = {"gamma_grid.json": "neural_ucb", "epsilon_grid.json": "neural_greedy",
-              "alpha_grid.json": "lin_ucb"}
+              "lin_ucb_gamma_grid.json": "lin_ucb"}
 
 
 def paper_file(name):

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,7 +42,7 @@ def linear_linucb_config(horizon=40, reps=2, seed=3, noise=0.1):
     return ExperimentConfig(
         environment=EnvironmentConfig(kind="linear", dimension=5, num_actions=4,
                                       horizon=horizon, noise_scale=noise),
-        policy=PolicyConfig(algorithm="lin_ucb", alpha=1.0),
+        policy=PolicyConfig(algorithm="lin_ucb", gamma=1.0),
         repetitions=reps,
         base_seed=seed,
     )
@@ -171,9 +172,9 @@ class TestRunExperiment:
 BAD_POLICY_VALUES = {
     "width": 7, "depth": 1, "lam": 0.0, "design_mode": "sparse",
     "preprocess": False, "gamma": -1.0, "epsilon": 1.5,
-    "alpha": -1.0, "nu": 0.0, "delta": 1.0, "s_norm": 0.0, "eta": 0.0, "j_steps": -1,
+    "nu": 0.0, "delta": 1.0, "s_norm": 0.0, "eta": 0.0, "j_steps": -1,
     "batch_size": 0, "cadence": 0, "train_start": -1, "kernel_bandwidth": 0.0,
-    "kernel_beta": -1.0, "kernel_cap": 0,
+    "kernel_cap": 0,
 }
 NETWORK_FIELDS = ("width", "depth", "lam", "preprocess")
 DESIGN_FIELDS = ("design_mode",)
@@ -183,10 +184,13 @@ FIELDS_READ = {
     "neural_greedy": NETWORK_FIELDS + TRAINING_FIELDS + ("epsilon",),
     "neural_ucb0": NETWORK_FIELDS + DESIGN_FIELDS + ("nu", "delta", "s_norm"),
     "neural_greedy0": NETWORK_FIELDS + DESIGN_FIELDS + ("epsilon",),
-    "lin_ucb": ("lam", "alpha"),
-    "kernel_ucb": ("lam", "kernel_bandwidth", "kernel_beta", "kernel_cap"),
+    "lin_ucb": ("lam", "gamma"),
+    "kernel_ucb": ("lam", "kernel_bandwidth", "gamma", "kernel_cap"),
     "random": (),
 }
+
+
+PAPER_CONFIGS = Path(__file__).resolve().parent.parent / "configs" / "paper"
 
 
 # a non-integer value for each integer PolicyConfig field; some pass the range checks
@@ -197,8 +201,8 @@ NON_INTEGER_POLICY_VALUES = {
 
 
 # the real-valued PolicyConfig fields; each must be a finite number
-REAL_POLICY_FIELDS = ("lam", "gamma", "epsilon", "alpha", "nu", "delta", "s_norm", "eta",
-                      "kernel_bandwidth", "kernel_beta")
+REAL_POLICY_FIELDS = ("lam", "gamma", "epsilon", "nu", "delta", "s_norm", "eta",
+                      "kernel_bandwidth")
 NON_FINITE_OR_NON_NUMBER = {"nan": (math.nan, "must be finite"),
                             "inf": (math.inf, "must be finite"),
                             "string": ("0.5", "must be a real number")}
@@ -218,6 +222,11 @@ class TestValidation:
         read = set(itertools.chain.from_iterable(FIELDS_READ.values()))
         fields = {f.name for f in dataclasses.fields(PolicyConfig)} - {"algorithm"}
         assert read == fields == set(BAD_POLICY_VALUES)
+
+    @pytest.mark.parametrize("algorithm", FIELDS_READ)
+    def test_paper_config_sets_only_fields_its_algorithm_reads(self, algorithm):
+        data = json.loads((PAPER_CONFIGS / f"{algorithm}.json").read_text(encoding="utf-8"))
+        assert set(data["policy"]) - {"algorithm"} <= set(FIELDS_READ[algorithm])
 
     @pytest.mark.parametrize("algorithm,field_name", [
         (algorithm, name) for algorithm, names in FIELDS_READ.items() for name in names
@@ -345,29 +354,29 @@ class TestEmitResults:
 class TestGridSearch:
     def test_single_point_grid_returns_that_config(self):
         config = linear_linucb_config(horizon=10, reps=1)
-        best, table = grid_search(config, {"policy.alpha": [0.5]})
-        assert best.policy.alpha == 0.5
+        best, table = grid_search(config, {"policy.gamma": [0.5]})
+        assert best.policy.gamma == 0.5
         assert len(table) == 1
-        assert table[0].overrides == {"policy.alpha": 0.5}
+        assert table[0].overrides == {"policy.gamma": 0.5}
 
     def test_best_has_minimal_mean_and_appears_in_table(self):
         config = linear_linucb_config(horizon=30, reps=2)
-        best, table = grid_search(config, {"policy.alpha": [0.1, 1.0, 10.0]})
+        best, table = grid_search(config, {"policy.gamma": [0.1, 1.0, 10.0]})
         means = [e.mean_final_regret for e in table]
         winner = table[int(np.argmin(means))]
-        assert best.policy.alpha == winner.overrides["policy.alpha"]
+        assert best.policy.gamma == winner.overrides["policy.gamma"]
         assert winner.mean_final_regret == min(means)
 
     def test_duplicate_grid_points_resolve_to_first(self):
         config = linear_linucb_config(horizon=10, reps=1)
-        best, table = grid_search(config, {"policy.alpha": [0.7, 0.7]})
+        best, table = grid_search(config, {"policy.gamma": [0.7, 0.7]})
         assert len(table) == 2
         assert table[0].mean_final_regret == table[1].mean_final_regret
-        assert best.policy.alpha == 0.7
+        assert best.policy.gamma == 0.7
 
     def test_cap_exceeded_names_product_size(self):
         config = linear_linucb_config()
-        grid = {"policy.alpha": list(np.linspace(0.1, 1.0, 20)),
+        grid = {"policy.gamma": list(np.linspace(0.1, 1.0, 20)),
                 "policy.lam": list(np.linspace(0.5, 2.0, 20))}
         with pytest.raises(ConfigError, match="400"):
             grid_search(config, grid)
@@ -413,6 +422,23 @@ class TestGridSearch:
         assert exc_info.value.errors == [
             "grid {'environment.horizon': 5}: environment.horizon: 5 exceeds the "
             "dataset's 2 rows"]
+
+    def test_each_combination_reads_its_dataset_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "tiny.csv"
+        path.write_text("a,b,label\n1,2,x\n3,4,y\n4,1,x\n", encoding="utf-8")
+        config = ExperimentConfig(
+            environment=EnvironmentConfig(kind="dataset", dataset_path=str(path),
+                                          label_column="label", horizon=3),
+            policy=PolicyConfig(algorithm="random"), repetitions=2,
+        )
+        reads = []
+        load_csv = harness.environments.load_csv
+        monkeypatch.setattr(harness.environments, "load_csv",
+                            lambda *args: reads.append(args) or load_csv(*args))
+        _, table = grid_search(config, {"environment.horizon": [2, 3],
+                                        "environment.shuffle": [True, False]})
+        assert [e.error for e in table] == [None] * 4
+        assert len(reads) == 4
 
     def test_nested_environment_override(self):
         config = linear_linucb_config(horizon=10, reps=1)

@@ -65,9 +65,21 @@ class TestNtkGram:
             assert mc_act == pytest.approx(exact_act, abs=2e-3)
             assert mc_der == pytest.approx(exact_der, abs=2e-3)
 
-    def test_non_unit_context_rejected(self):
-        with pytest.raises(ValueError, match="unit-norm"):
-            ntk_gram(np.array([[1.0, 1.0]]), 2)
+    @pytest.mark.parametrize("bad_row", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_zero_or_non_finite_context_rejected(self, bad_row):
+        with pytest.raises(ValueError, match=r"rows \[1\] have a zero or non-finite norm"):
+            ntk_gram(np.array([[1.0, 1.0], bad_row]), 2)
+
+    @given(st.integers(0, 10_000), st.integers(2, 4), st.integers(1, 5))
+    @settings(max_examples=25, deadline=None)
+    def test_homogeneous_in_the_context_norms(self, seed, depth, n):
+        # H(x, y) = |x| |y| H(x/|x|, y/|y|) for the bias-free ReLU kernel
+        rng = np.random.default_rng(seed)
+        unit = random_unit_contexts(n, 5, seed)
+        norms = rng.uniform(0.1, 10.0, n)
+        scaled = ntk_gram(unit * norms[:, None], depth)
+        expected = ntk_gram(unit, depth) * np.outer(norms, norms)
+        assert np.allclose(scaled, expected, rtol=1e-12, atol=0.0)
 
     def test_depth_below_two_rejected(self):
         with pytest.raises(ValueError):
@@ -174,6 +186,12 @@ class TestEffectiveDimension:
     def test_non_psd_rejected(self):
         with pytest.raises(ValueError, match="PSD"):
             effective_dimension(np.diag([1.0, -0.5]), 1.0, 2)
+
+    def test_empty_gram_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            effective_dimension(np.zeros((0, 0)), 1.0, 2)
+        with pytest.raises(ValueError, match="nonempty"):
+            rkhs_norm_proxy(np.zeros((0, 0)), np.zeros(0))
 
     def test_invalid_lam_and_tk_rejected(self):
         with pytest.raises(ValueError):

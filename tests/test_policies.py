@@ -35,20 +35,20 @@ def duplicated_contexts(n, d_half, seed):
 FAST_TRAIN = TrainingConfig(eta=1e-3, j_steps=5, batch_size=None, cadence=10)
 
 
-def lin_ucb(d, alpha, lam=1.0):
+def lin_ucb(d, gamma, lam=1.0):
     """The lin_ucb policy as the harness builds it on d-dimensional raw contexts."""
-    config = PolicyConfig(algorithm="lin_ucb", alpha=alpha, lam=lam)
+    config = PolicyConfig(algorithm="lin_ucb", gamma=gamma, lam=lam)
     return _build_policy(config, SimpleNamespace(d=d), np.random.default_rng(0))
 
 
-def batch_ridge_ucb(seen, rewards, contexts, alpha, lam):
+def batch_ridge_ucb(seen, rewards, contexts, gamma, lam):
     """Ridge UCB recomputed from scratch: A = lam I + X^T X, b = X^T r, and the
-    argmax of x^T A^{-1} b + alpha * sqrt(x^T A^{-1} x) over the contexts."""
+    argmax of x^T A^{-1} b + gamma * sqrt(x^T A^{-1} x) over the contexts."""
     x = np.asarray(seen, dtype=np.float64).reshape(-1, contexts.shape[1])
     a_mat = lam * np.eye(x.shape[1]) + x.T @ x
     theta = np.linalg.solve(a_mat, x.T @ np.asarray(rewards, dtype=np.float64))
     qforms = np.einsum("ij,ji->i", contexts, np.linalg.solve(a_mat, contexts.T))
-    return int(np.argmax(contexts @ theta + alpha * np.sqrt(np.maximum(qforms, 0.0))))
+    return int(np.argmax(contexts @ theta + gamma * np.sqrt(np.maximum(qforms, 0.0))))
 
 
 class TestTrainNN:
@@ -333,8 +333,8 @@ class TestNeuralUCB0:
         # co-simulation against ridge UCB recomputed from scratch each round:
         # same widths, same data, action-for-action agreement
         d, k, rounds = 6, 5, 120
-        alpha, lam = 0.8, 1.3
-        frozen = lin_ucb(d, alpha, lam=lam)
+        gamma, lam = 0.8, 1.3
+        frozen = lin_ucb(d, gamma, lam=lam)
         rng = np.random.default_rng(85)
         secret = rng.standard_normal(d)
         seen, rewards = [], []
@@ -343,7 +343,7 @@ class TestNeuralUCB0:
             contexts = rng.standard_normal((k, d))
             af, _ = frozen.select(contexts)
             actions_f.append(af)
-            actions_l.append(batch_ridge_ucb(seen, rewards, contexts, alpha, lam))
+            actions_l.append(batch_ridge_ucb(seen, rewards, contexts, gamma, lam))
             reward = float(contexts[af] @ secret + 0.1 * rng.standard_normal())
             frozen.update(contexts[af], reward)
             seen.append(contexts[af])
@@ -377,7 +377,7 @@ class TestNeuralEpsilonGreedy0:
 
 
 class TestChoiceRule:
-    """The select/update that both learners share."""
+    """The select/update that every learner shares."""
 
     @staticmethod
     def learners(rng):
@@ -386,6 +386,7 @@ class TestChoiceRule:
         yield NeuralUCB(shape, 1.0, None, rng, train=FAST_TRAIN)
         yield NeuralUCB0(*gradient_feature_map(shape, rng), 1.0, ConstantWidth(0.5), rng=rng)
         yield NeuralUCB0(*gradient_feature_map(shape, rng), 1.0, None, rng=rng)
+        yield KernelUCB(1.0, ConstantWidth(0.5))
 
     def test_zero_epsilon_draws_nothing_from_the_generator(self):
         rng = np.random.default_rng(94)
@@ -444,13 +445,13 @@ class TestChoiceRule:
 
 class TestLinUCB:
     def test_fresh_scores_scale_with_context_norm(self):
-        policy = lin_ucb(3, alpha=2.0, lam=4.0)
+        policy = lin_ucb(3, gamma=2.0, lam=4.0)
         contexts = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         _, scores = policy.select(contexts)
         assert np.allclose(scores, 2.0 * np.linalg.norm(contexts, axis=1) / 2.0)
 
     def test_one_step_ridge_by_hand(self):
-        policy = lin_ucb(2, alpha=0.0, lam=1.0)
+        policy = lin_ucb(2, gamma=0.0, lam=1.0)
         policy.update(np.array([1.0, 0.0]), 1.0)
         _, scores = policy.select(np.array([[1.0, 0.0]]))
         assert scores[0] == pytest.approx(0.5)
@@ -460,7 +461,7 @@ class TestLinUCB:
         rng = np.random.default_rng(88)
         secret = rng.standard_normal(d)
         secret /= np.linalg.norm(secret)
-        policy = lin_ucb(d, alpha=1.0, lam=1.0)
+        policy = lin_ucb(d, gamma=1.0, lam=1.0)
         optimal_hits = []
         for t in range(horizon):
             contexts = rng.standard_normal((k, d))
@@ -473,20 +474,20 @@ class TestLinUCB:
 
 
 class TestKernelUCB:
-    def test_no_data_width_is_beta(self):
-        policy = KernelUCB(bandwidth=1.0, beta=0.7)
+    def test_no_data_width_is_gamma(self):
+        policy = KernelUCB(1.0, ConstantWidth(0.7))
         _, scores = policy.select(np.array([[0.1, 0.2], [0.3, 0.4]]))
-        assert np.allclose(scores, 0.7)
+        assert np.array_equal(scores, [0.7, 0.7])
 
     def test_single_observation_by_hand(self):
-        policy = KernelUCB(bandwidth=1.0, beta=1.0, lam=1.0)
+        policy = KernelUCB(1.0, ConstantWidth(1.0), lam=1.0)
         x = np.array([0.3, 0.4])
         policy.update(x, 1.0)
         _, scores = policy.select(x[None, :])
         assert scores[0] == pytest.approx(0.5 + math.sqrt(0.5), rel=1e-12)
 
     def test_infinite_bandwidth_degenerates_to_tie(self):
-        policy = KernelUCB(bandwidth=np.inf, beta=1.0)
+        policy = KernelUCB(np.inf, ConstantWidth(1.0))
         rng = np.random.default_rng(89)
         policy.update(rng.standard_normal(3), 1.0)
         action, scores = policy.select(rng.standard_normal((4, 3)))
@@ -494,18 +495,49 @@ class TestKernelUCB:
         assert action == 0
 
     def test_buffer_cap_freezes_the_model(self):
-        policy = KernelUCB(bandwidth=1.0, beta=1.0, cap=5)
+        policy = KernelUCB(1.0, ConstantWidth(1.0), cap=5)
         rng = np.random.default_rng(90)
         for _ in range(9):
             policy.update(rng.standard_normal(2), float(rng.standard_normal()))
         assert policy._x.shape[0] == 5
         assert policy.t == 9
 
+    def test_log_det_ratio_matches_a_direct_factorization(self):
+        # log det(I + K/lam) over the buffer, before and after the cap freezes it
+        lam, cap = 0.5, 7
+        policy = KernelUCB(0.8, ConstantWidth(1.0), lam=lam, cap=cap)
+        assert policy.log_det_ratio() == 0.0
+        rng = np.random.default_rng(102)
+        seen = []
+        for _ in range(12):
+            x = rng.standard_normal(3)
+            policy.update(x, float(rng.standard_normal()))
+            seen = (seen + [x])[:cap]
+            buffer = np.stack(seen)
+            gram = np.exp(-np.sum((buffer[:, None] - buffer[None]) ** 2, axis=2) / (2 * 0.8**2))
+            sign, logdet = np.linalg.slogdet(np.eye(len(seen)) + gram / lam)
+            assert sign == 1.0
+            assert policy.log_det_ratio() == pytest.approx(logdet, rel=1e-12, abs=1e-12)
+
+    def test_width_reads_the_log_det_ratio(self):
+        seen = []
+
+        def width(t, logdet):
+            seen.append((t, logdet))
+            return 1.0
+
+        policy = KernelUCB(1.0, width)
+        rng = np.random.default_rng(103)
+        for _ in range(3):
+            policy.update(rng.standard_normal(2), 1.0)
+            assert seen[-1] == (policy.t, policy.log_det_ratio())
+        assert seen[0] == (0, 0.0) and len(seen) == 4
+
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            KernelUCB(bandwidth=0.0, beta=1.0)
-        with pytest.raises(ValueError):
-            KernelUCB(bandwidth=1.0, beta=1.0, cap=0)
+        with pytest.raises(ValueError, match="bandwidth"):
+            KernelUCB(0.0, ConstantWidth(1.0))
+        with pytest.raises(ValueError, match="cap"):
+            KernelUCB(1.0, ConstantWidth(1.0), cap=0)
 
 
 class TestTrivialPolicies:
@@ -518,8 +550,8 @@ class TestTrivialPolicies:
     def test_actions_always_in_range(self):
         policies = [
             UniformRandomPolicy(np.random.default_rng(92)),
-            lin_ucb(4, alpha=1.0),
-            KernelUCB(bandwidth=1.0, beta=1.0),
+            lin_ucb(4, gamma=1.0),
+            KernelUCB(bandwidth=1.0, width=ConstantWidth(1.0)),
         ]
         rng = np.random.default_rng(93)
         for policy in policies:

@@ -28,9 +28,9 @@ VARIANTS = {
     "neural_ucb0-diagonal": dict(algorithm="neural_ucb0", design_mode="diagonal"),
     "neural_greedy0-full": dict(algorithm="neural_greedy0"),
     "neural_greedy0-diagonal": dict(algorithm="neural_greedy0", design_mode="diagonal"),
-    "lin_ucb-raw": dict(algorithm="lin_ucb"),
-    "lin_ucb-preprocess": dict(algorithm="lin_ucb", preprocess=True),
-    "kernel_ucb": dict(algorithm="kernel_ucb"),
+    "lin_ucb-raw": dict(algorithm="lin_ucb", gamma=1.0),
+    "lin_ucb-preprocess": dict(algorithm="lin_ucb", gamma=1.0, preprocess=True),
+    "kernel_ucb": dict(algorithm="kernel_ucb", gamma=1.0),
     "random": dict(algorithm="random"),
 }
 KINDS = ("h1", "h3")
