@@ -9,8 +9,8 @@ import numpy as np
 from neuralbandit.confidence import DesignMatrix
 from neuralbandit.network import (
     NetworkShape,
-    forward,
-    gradient,
+    forward_batch,
+    gradient_batch,
     init_plain,
     unflatten,
 )
@@ -26,15 +26,15 @@ def check_gradient_finite_difference(step=1e-5, tol=1e-4):
         params = init_plain(shape, rng)
         theta = params.flat + 0.05 * rng.standard_normal(shape.num_params)
         params = unflatten(shape, theta)
-        x = rng.standard_normal(4)
-        g = gradient(params, x)
+        x = rng.standard_normal((1, 4))
+        g = gradient_batch(params, x)[0]
         fd = np.zeros_like(g)
         for i in range(theta.size):
             up, down = theta.copy(), theta.copy()
             up[i] += step
             down[i] -= step
-            fd[i] = (forward(unflatten(shape, up), x)
-                     - forward(unflatten(shape, down), x)) / (2 * step)
+            fd[i] = (forward_batch(unflatten(shape, up), x)[0]
+                     - forward_batch(unflatten(shape, down), x)[0]) / (2 * step)
         denom = np.maximum(np.abs(fd), 1e-6)
         worst = max(worst, float(np.max(np.abs(g - fd) / denom)))
     return "gradient-finite-difference", worst <= tol, f"max relative error {worst:.3e}"

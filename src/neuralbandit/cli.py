@@ -82,11 +82,22 @@ def _load_matrix(path: str, what: str) -> np.ndarray:
     return data
 
 
+def _output_dir(flag, configured):
+    """--out, else the config's output; rejected before any run when it cannot be a directory."""
+    what, out = ("--out", flag) if flag else ("output", configured)
+    if isinstance(out, str):
+        path = Path(out)
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError([f"{what}: {str(existing)!r} exists and is not a directory"])
+    return out
+
+
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_dict(_load_json(args.config, "--config"))
     if args.seed is not None:
         config = dataclasses.replace(config, base_seed=args.seed)
-    out = args.out or config.output
+    out = _output_dir(args.out, config.output)
     if out is None:
         raise ConfigError(["output: give --out or set \"output\" in the config"])
     results = run_experiment(config)
@@ -105,8 +116,8 @@ def _cmd_grid(args) -> int:
     grid = _load_json(args.grid, "--grid")
     if not isinstance(grid, dict):
         raise ConfigError(["--grid: must be a JSON object of parameter paths to lists"])
+    out = _output_dir(args.out, config.output)
     best_config, table = grid_search(config, grid)
-    out = args.out or config.output
     print(f"evaluated {len(table)} combinations")
     for entry in table:
         if entry.error is not None:

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg.blas import dsymv, dsyr
 from scipy.linalg.lapack import dpotrf, dpotri
 
-from neuralbandit.network import NetworkShape, check_integer, check_real
+from neuralbandit.network import NetworkShape, check_integer, check_positive, check_real
 
 if TYPE_CHECKING:
     from neuralbandit.policies import TrainingConfig
@@ -47,16 +47,11 @@ class DesignMatrix:
 
     def __init__(self, dim: int, lam: float, mode: str = "full",
                  refresh_every: int = DEFAULT_REFRESH_EVERY):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        check_real("lam", lam)
-        if lam <= 0:
-            raise ValueError(f"lam must be positive, got {lam}")
+        check_integer("dim", dim, low=1)
+        check_positive("lam", lam)
         if mode not in ("full", "diagonal"):
             raise ValueError(f"mode must be 'full' or 'diagonal', got {mode!r}")
-        check_integer("refresh_every", refresh_every)
-        if refresh_every < 1:
-            raise ValueError(f"refresh_every must be >= 1, got {refresh_every}")
+        check_integer("refresh_every", refresh_every, low=1)
         self.dim = dim
         self.lam = lam
         self.mode = mode
@@ -165,9 +160,7 @@ class ConstantWidth:
     """Fixed exploration width gamma_t = gamma for every round."""
 
     def __init__(self, gamma: float):
-        check_real("gamma", gamma)
-        if gamma < 0:
-            raise ValueError(f"gamma must be a nonnegative number, got {gamma}")
+        check_real("gamma", gamma, low=0)
         self.gamma = gamma
 
     def __call__(self, t: int, logdet: float) -> float:
@@ -178,16 +171,12 @@ class RidgeWidth:
     """Closed-form ridge width: nu * sqrt(logdet - 2 log delta) + sqrt(lam) * S."""
 
     def __init__(self, nu: float, delta: float, s_norm: float, lam: float):
-        for name, value in (("nu", nu), ("delta", delta), ("s_norm", s_norm), ("lam", lam)):
-            check_real(name, value)
-        if nu <= 0:
-            raise ValueError(f"nu must be positive, got {nu}")
+        check_positive("nu", nu)
+        check_real("delta", delta)
         if not 0 < delta < 1:
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
-        if s_norm <= 0:
-            raise ValueError(f"s_norm must be positive, got {s_norm}")
-        if lam <= 0:
-            raise ValueError(f"lam must be positive, got {lam}")
+        check_positive("s_norm", s_norm)
+        check_positive("lam", lam)
         self.nu = nu
         self.delta = delta
         self.s_norm = s_norm

@@ -30,8 +30,7 @@ SYNTHETIC_KINDS = ("h1", "h2", "h3", "linear")
 
 def sample_unit_ball(d: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform sample from the closed unit ball: Gaussian direction, U^(1/d) radius."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    check_integer("d", d, low=1)
     while True:
         g = rng.standard_normal(d)
         norm = np.linalg.norm(g)
@@ -74,15 +73,9 @@ class SyntheticBandit:
                  rng: np.random.Generator, secret_rng: np.random.Generator | None = None):
         if kind not in SYNTHETIC_KINDS:
             raise ValueError(f"unknown reward kind {kind!r}; choose from {SYNTHETIC_KINDS}")
-        check_integer("d", d)
-        if d < 1:
-            raise ValueError(f"d must be >= 1, got {d}")
-        check_integer("num_actions", num_actions)
-        if num_actions < 1:
-            raise ValueError(f"num_actions must be >= 1, got {num_actions}")
-        check_real("noise_scale", noise_scale)
-        if noise_scale < 0:
-            raise ValueError(f"noise_scale must be >= 0, got {noise_scale}")
+        check_integer("d", d, low=1)
+        check_integer("num_actions", num_actions, low=1)
+        check_real("noise_scale", noise_scale, low=0)
         self.kind = kind
         self.d = d
         self.num_actions = num_actions
@@ -128,8 +121,7 @@ class DatasetBandit:
             raise ValueError(f"features must be 2-d, got shape {features.shape}")
         if labels.shape != (features.shape[0],):
             raise ValueError("labels must align with feature rows")
-        if num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+        check_integer("num_classes", num_classes, low=2)
         if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
             bad = int(np.argmax((labels < 0) | (labels >= num_classes)))
             raise ValueError(

@@ -24,7 +24,7 @@ import numpy as np
 
 from neuralbandit import environments, policies
 from neuralbandit.confidence import ConstantWidth, NeuralWidth, RidgeWidth
-from neuralbandit.network import NetworkShape
+from neuralbandit.network import NetworkShape, check_flag, check_integer, check_string
 
 __all__ = [
     "EnvironmentConfig",
@@ -44,29 +44,6 @@ GRID_CAP = 256
 
 NEURAL_ALGORITHMS = ("neural_ucb", "neural_greedy", "neural_ucb0", "neural_greedy0")
 ALGORITHMS = NEURAL_ALGORITHMS + ("lin_ucb", "kernel_ucb", "random")
-
-
-def _count_errors(name, value, low) -> list:
-    """The error for a field that must be an integer >= low (bools are not counts)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        return [f"{name}: must be an integer, got {value!r}"]
-    if value < low:
-        return [f"{name}: must be >= {low}, got {value}"]
-    return []
-
-
-def _flag_errors(name, value) -> list:
-    """The error for a field that must be true or false."""
-    if not isinstance(value, bool):
-        return [f"{name}: must be true or false, got {value!r}"]
-    return []
-
-
-def _string_errors(name, value) -> list:
-    """The error for an optional field that must be a string when given."""
-    if value is not None and not isinstance(value, str):
-        return [f"{name}: must be a string, got {value!r}"]
-    return []
 
 
 class ConfigError(ValueError):
@@ -94,10 +71,9 @@ class EnvironmentConfig:
         kinds = environments.SYNTHETIC_KINDS + ("dataset",)
         if self.kind not in kinds:
             errors.append(f"environment.kind: unknown kind {self.kind!r}, choose from {kinds}")
-        errors += _count_errors("environment.horizon", self.horizon, 1)
-        errors += _flag_errors("environment.shuffle", self.shuffle)
-        errors += _string_errors("environment.dataset_path", self.dataset_path)
-        errors += _string_errors("environment.label_column", self.label_column)
+        errors += _rule_errors("environment", self, [
+            (check_integer, "horizon", 1), (check_flag, "shuffle"),
+            (check_string, "dataset_path"), (check_string, "label_column")])
         if self.kind == "dataset":
             if not self.dataset_path:
                 errors.append("environment.dataset_path: required for dataset environments")
@@ -166,22 +142,13 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError(["config root must be a JSON object"])
-        errors = []
         known = {f.name for f in dataclasses.fields(cls)}
-        for key in data:
-            if key not in known:
-                errors.append(f"unknown top-level key {key!r}")
+        errors = [f"{key}: unknown key" for key in data if key not in known]
         env = _dataclass_from_dict(EnvironmentConfig, data.get("environment", {}), "environment", errors)
         pol = _dataclass_from_dict(PolicyConfig, data.get("policy", {}), "policy", errors)
         if errors:
             raise ConfigError(errors)
-        return cls(
-            environment=env,
-            policy=pol,
-            repetitions=data.get("repetitions", 10),
-            base_seed=data.get("base_seed", 0),
-            output=data.get("output"),
-        )
+        return cls(**{**data, "environment": env, "policy": pol})
 
 
 def _dataclass_from_dict(cls, data, prefix, errors):
@@ -191,12 +158,7 @@ def _dataclass_from_dict(cls, data, prefix, errors):
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = [k for k in data if k not in known]
     errors.extend(f"{prefix}.{k}: unknown key" for k in unknown)
-    kwargs = {k: v for k, v in data.items() if k in known}
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        errors.append(f"{prefix}: {exc}")
-        return cls()
+    return cls(**{k: v for k, v in data.items() if k in known})
 
 
 @dataclass
@@ -277,22 +239,27 @@ def _training_config(cfg: PolicyConfig) -> policies.TrainingConfig:
     )
 
 
-def _checked(config: ExperimentConfig) -> tuple:
+def _checked(config: ExperimentConfig, datasets=None) -> tuple:
     """(the dataset environment's loaded CSV or None, every config problem).
 
     The environment and the policy are built as a run builds them, so their
     constructors' checks are the only copy of their rules.  The seed does not
-    matter to any check, so a fixed one is used.
+    matter to any check, so a fixed one is used.  A CSV found in datasets,
+    keyed by (path, label column), is not read again; one that is read is
+    added to it.
     """
+    datasets = {} if datasets is None else datasets
     env = config.environment
     errors = env.validate()
     dataset = None
     if env.kind == "dataset" and not errors:
+        key = (env.dataset_path, env.label_column)
         try:
-            dataset = environments.load_csv(env.dataset_path, env.label_column)
+            dataset = datasets[key] if key in datasets else environments.load_csv(*key)
         except (ValueError, OSError) as exc:
             errors.append(f"environment.dataset_path: {exc}")
         else:
+            datasets[key] = dataset
             rows = dataset.features.shape[0]
             if env.horizon > rows:
                 errors.append(f"environment.horizon: {env.horizon} exceeds the dataset's "
@@ -306,11 +273,9 @@ def _checked(config: ExperimentConfig) -> tuple:
             errors.append(_field_error("environment", exc, _ENVIRONMENT_FIELDS,
                                        {"d": "dimension"}))
     errors += _policy_errors(config.policy, built)
-    errors += _count_errors("repetitions", config.repetitions, 1)
-    if isinstance(config.base_seed, bool) or not isinstance(config.base_seed, int) \
-            or config.base_seed < 0:
-        errors.append(f"base_seed: must be a non-negative integer, got {config.base_seed!r}")
-    errors += _string_errors("output", config.output)
+    errors += _rule_errors(None, config, [
+        (check_integer, "repetitions", 1), (check_integer, "base_seed", 0),
+        (check_string, "output")])
     return dataset, errors
 
 
@@ -323,17 +288,38 @@ _RENAMED_FIELDS = {"input_dim": "preprocess", "mode": "design_mode",
 
 
 def _field_error(section, exc, fields, renamed) -> str:
-    """A constructor's error, named by the config field of the parameter it rejects.
+    """A checker's error as `<section>.<field>: <rule>`, or `<field>: <rule>` with no section.
 
-    Constructor messages start with the parameter they reject, which names
-    the field directly or through renamed.
+    Checker messages start with the parameter they reject, which names the
+    field directly or through renamed; the name is dropped from the rule when
+    a space follows it.  A message that names no field is kept whole.
     """
     message = str(exc)
     name = re.match(r"\w*", message).group()
     field_name = renamed.get(name, name)
     if field_name not in fields:
         return f"{section}: {message}"
-    return f"{section}.{message}" if field_name == name else f"{section}.{field_name}: {message}"
+    if message[len(name):].startswith(" "):
+        message = message[len(name) + 1:]
+    return f"{section}.{field_name}: {message}" if section else f"{field_name}: {message}"
+
+
+def _rule_errors(section, config, rules) -> list:
+    """The errors of each (checker, field, *bound) rule on the config's field value.
+
+    A field whose default is None may be left None.
+    """
+    errors = []
+    defaults = {f.name: f.default for f in dataclasses.fields(config)}
+    for check, name, *bound in rules:
+        value = getattr(config, name)
+        if value is None and defaults[name] is None:
+            continue
+        try:
+            check(name, value, *bound)
+        except (TypeError, ValueError) as exc:
+            errors.append(_field_error(section, exc, {name}, {}))
+    return errors
 
 
 def _policy_errors(policy: PolicyConfig, environment) -> list:
@@ -346,8 +332,9 @@ def _policy_errors(policy: PolicyConfig, environment) -> list:
         environment = SimpleNamespace(d=2)
     # checked for every algorithm, since kernel_ucb and random never read it; a
     # non-bool leaves the input dimension unknown, so nothing is built
-    if policy.preprocess is not None and not isinstance(policy.preprocess, bool):
-        return _flag_errors("policy.preprocess", policy.preprocess)
+    errors = _rule_errors("policy", policy, [(check_flag, "preprocess")])
+    if errors:
+        return errors
     try:
         _build_policy(policy, environment, np.random.default_rng(0))
     except (TypeError, ValueError) as exc:
@@ -412,16 +399,15 @@ class GridEntry:
 
 
 def _apply_override(config: ExperimentConfig, path: str, value) -> ExperimentConfig:
+    """config with the field at path set to value; a path names one field, not a section."""
     parts = path.split(".")
-    if len(parts) == 1:
-        if parts[0] not in {f.name for f in dataclasses.fields(ExperimentConfig)}:
-            raise ConfigError([f"grid: unknown parameter path {path!r}"])
+    if len(parts) == 1 and parts[0] in ("repetitions", "base_seed", "output"):
         return dataclasses.replace(config, **{parts[0]: value})
     if len(parts) == 2 and parts[0] in ("environment", "policy"):
         section = getattr(config, parts[0])
-        if parts[1] not in {f.name for f in dataclasses.fields(type(section))}:
-            raise ConfigError([f"grid: unknown parameter path {path!r}"])
-        return dataclasses.replace(config, **{parts[0]: dataclasses.replace(section, **{parts[1]: value})})
+        if parts[1] in {f.name for f in dataclasses.fields(section)}:
+            section = dataclasses.replace(section, **{parts[1]: value})
+            return dataclasses.replace(config, **{parts[0]: section})
     raise ConfigError([f"grid: unknown parameter path {path!r}"])
 
 
@@ -448,17 +434,14 @@ def grid_search(config: ExperimentConfig, grid: dict):
     paths = list(grid)
     combos = []
     errors = []
-    datasets = {}  # one copy per CSV file is kept, however many combinations read it
+    datasets = {}  # each CSV is read and kept once, however many combinations use it
     for combo in itertools.product(*(grid[p] for p in paths)):
         cfg = config
         for path, value in zip(paths, combo):
             cfg = _apply_override(cfg, path, value)
         overrides = dict(zip(paths, combo))
-        dataset, problems = _checked(cfg)
+        dataset, problems = _checked(cfg, datasets)
         errors += [f"grid {overrides}: {e}" for e in problems]
-        if dataset is not None:
-            env = cfg.environment
-            dataset = datasets.setdefault((env.dataset_path, env.label_column), dataset)
         combos.append((overrides, cfg, dataset))
     if errors:
         raise ConfigError(errors)

@@ -23,30 +23,63 @@ __all__ = [
     "NetworkParams",
     "init_symmetric",
     "init_plain",
-    "forward",
     "forward_batch",
-    "gradient",
     "gradient_batch",
     "gradient_weighted_sum",
     "unflatten",
 ]
 
 
-def check_integer(name: str, value) -> None:
-    """Raise TypeError, naming the parameter, unless value is an integer (bools are not)."""
+def check_integer(name: str, value, low=None) -> None:
+    """Raise, naming the parameter, unless value is an integer (bools are not) >= low.
+
+    TypeError for a non-integer; ValueError for a value below low, which
+    None leaves unbounded.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {value!r}")
+    _check_low(name, value, low)
 
 
-def check_real(name: str, value) -> None:
-    """Raise, naming the parameter, unless value is a finite real number (bools are not).
+def check_real(name: str, value, low=None) -> None:
+    """Raise, naming the parameter, unless value is a finite real number (bools are not) >= low.
 
-    TypeError for a non-number, ValueError for nan or an infinity.
+    TypeError for a non-number; ValueError for nan, an infinity or a value
+    below low, which None leaves unbounded.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value}")
+    _check_low(name, value, low)
+
+
+def check_positive(name: str, value) -> None:
+    """Raise, naming the parameter, unless value is a finite real number above 0."""
+    check_real(name, value)
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
+def check_flag(name: str, value) -> None:
+    """Raise TypeError, naming the parameter, unless value is true or false."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{name} must be true or false, got {value!r}")
+
+
+def check_string(name: str, value) -> None:
+    """Raise TypeError, naming the parameter, unless value is a string."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a string, got {value!r}")
+
+
+def _check_low(name: str, value, low) -> None:
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -62,10 +95,8 @@ class NetworkShape:
     depth: int
 
     def __post_init__(self):
-        check_integer("depth", self.depth)
+        check_integer("depth", self.depth, low=2)
         check_integer("width", self.width)
-        if self.depth < 2:
-            raise ValueError(f"depth must be >= 2, got {self.depth}")
         if self.input_dim < 2 or self.input_dim % 2 != 0:
             raise ValueError(
                 f"input_dim must be a positive even integer, got {self.input_dim}"
@@ -156,12 +187,12 @@ def init_plain(shape: NetworkShape, rng: np.random.Generator) -> NetworkParams:
     return unflatten(shape, vec)
 
 
-def _check_input(params: NetworkParams, x: np.ndarray, batched: bool) -> np.ndarray:
+def _check_input(params: NetworkParams, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    want = 2 if batched else 1
-    if x.ndim != want or x.shape[-1] != params.shape.input_dim:
-        expected = ("(n, %d)" if batched else "(%d,)") % params.shape.input_dim
-        raise ValueError(f"context has shape {x.shape}, expected {expected}")
+    if x.ndim != 2 or x.shape[1] != params.shape.input_dim:
+        raise ValueError(
+            f"context has shape {x.shape}, expected (n, {params.shape.input_dim})"
+        )
     return x
 
 
@@ -179,16 +210,9 @@ def _forward_pass(params: NetworkParams, x: np.ndarray):
     return out, acts, pres
 
 
-def forward(params: NetworkParams, x) -> float:
-    """Evaluate f(x; theta) for a single context."""
-    x = _check_input(params, x, batched=False)
-    out, _, _ = _forward_pass(params, x[None, :])
-    return float(out[0])
-
-
 def forward_batch(params: NetworkParams, x) -> np.ndarray:
     """Evaluate f on each row of x; returns a length-n vector."""
-    x = _check_input(params, x, batched=True)
+    x = _check_input(params, x)
     out, _, _ = _forward_pass(params, x)
     return out
 
@@ -212,15 +236,9 @@ def _backprop(params: NetworkParams, x: np.ndarray, seed: np.ndarray):
     return acts, deltas
 
 
-def gradient(params: NetworkParams, x) -> np.ndarray:
-    """Exact gradient of f(x; theta) w.r.t. all weights, flattened to R^p."""
-    x = _check_input(params, x, batched=False)
-    return gradient_batch(params, x[None, :])[0]
-
-
 def gradient_batch(params: NetworkParams, x) -> np.ndarray:
     """Gradients for each row of x, stacked into an (n, p) matrix."""
-    x = _check_input(params, x, batched=True)
+    x = _check_input(params, x)
     n = x.shape[0]
     acts, deltas = _backprop(params, x, np.ones(n))
     # row i of a block is outer(d_i, a_i) flattened row-major, like the weight views
@@ -236,7 +254,7 @@ def gradient_weighted_sum(params: NetworkParams, x, weights) -> np.ndarray:
     This is the data-term gradient of a squared loss when weights are the
     residuals; cost is a handful of matrix products regardless of n.
     """
-    x = _check_input(params, x, batched=True)
+    x = _check_input(params, x)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (x.shape[0],):
         raise ValueError(f"weights shape {weights.shape} != ({x.shape[0]},)")

@@ -14,7 +14,7 @@ two at the top.  Deterministic; rho is clamped to [-1, 1] to absorb rounding.
 
 import numpy as np
 
-from neuralbandit.network import NetworkParams, check_real, gradient_batch
+from neuralbandit.network import NetworkParams, check_integer, check_positive, gradient_batch
 
 __all__ = [
     "ntk_gram",
@@ -71,8 +71,7 @@ def ntk_gram(contexts, depth: int) -> np.ndarray:
     or not finite in float64 is rejected.  depth >= 2.
     """
     x = _as_context_matrix(contexts)
-    if depth < 2:
-        raise ValueError(f"depth must be >= 2, got {depth}")
+    check_integer("depth", depth, low=2)
     norms = np.linalg.norm(x, axis=1)
     bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
     if bad.size:
@@ -110,11 +109,8 @@ def effective_dimension(h, lam: float, tk: int) -> float:
     sub-sampled context sets while keeping the full-horizon normalizer.
     """
     h = _check_gram(h)
-    check_real("lam", lam)
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    if tk < 1:
-        raise ValueError(f"tk must be >= 1, got {tk}")
+    check_positive("lam", lam)
+    check_integer("tk", tk, low=1)
     min_eig = float(np.linalg.eigvalsh(h)[0])
     if min_eig < PSD_TOLERANCE:
         raise ValueError(f"Gram matrix is not PSD (min eigenvalue {min_eig:.3e})")

@@ -25,6 +25,7 @@ from neuralbandit.confidence import DesignMatrix
 from neuralbandit.network import (
     NetworkShape,
     check_integer,
+    check_positive,
     check_real,
     init_symmetric,
     init_plain,
@@ -67,23 +68,13 @@ class TrainingConfig:
     train_start: int = 0
 
     def __post_init__(self):
-        check_real("eta", self.eta)
-        if self.eta <= 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        check_positive("eta", self.eta)
         if self.j_steps is not None:
-            check_integer("j_steps", self.j_steps)
-            if self.j_steps < 0:
-                raise ValueError(f"j_steps must be >= 0, got {self.j_steps}")
+            check_integer("j_steps", self.j_steps, low=0)
         if self.batch_size is not None:
-            check_integer("batch_size", self.batch_size)
-            if self.batch_size < 1:
-                raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        check_integer("cadence", self.cadence)
-        if self.cadence < 1:
-            raise ValueError(f"cadence must be >= 1, got {self.cadence}")
-        check_integer("train_start", self.train_start)
-        if self.train_start < 0:
-            raise ValueError(f"train_start must be >= 0, got {self.train_start}")
+            check_integer("batch_size", self.batch_size, low=1)
+        check_integer("cadence", self.cadence, low=1)
+        check_integer("train_start", self.train_start, low=0)
 
 
 def train_nn(lam, eta, j_steps, contexts, rewards, theta0, batch_size=None, rng=None):
@@ -105,8 +96,7 @@ def train_nn(lam, eta, j_steps, contexts, rewards, theta0, batch_size=None, rng=
     r = np.asarray(rewards, dtype=np.float64)
     if x.ndim != 2 or r.shape != (x.shape[0],):
         raise ValueError(f"contexts {x.shape} and rewards {r.shape} do not align")
-    if j_steps < 0:
-        raise ValueError(f"j_steps must be >= 0, got {j_steps}")
+    check_integer("j_steps", j_steps, low=0)
     n = x.shape[0]
     if j_steps > 0 and n == 0:
         raise ValueError("training data must be nonempty when j_steps > 0")
@@ -214,9 +204,7 @@ class NeuralUCB(_UCBPolicy):
     def __init__(self, shape: NetworkShape, lam: float, width, rng: np.random.Generator,
                  train: TrainingConfig = TrainingConfig(), design_mode="full", epsilon=0.0):
         super().__init__(width, epsilon, rng)
-        check_real("lam", lam)
-        if lam <= 0:
-            raise ValueError(f"lam must be positive, got {lam}")
+        check_positive("lam", lam)
         self.shape = shape
         self.lam = lam
         self.train_config = train
@@ -313,15 +301,9 @@ class KernelUCB(_UCBPolicy):
         super().__init__(width, 0.0, None)
         # an infinite bandwidth is the constant-kernel limit, where every arm ties
         if bandwidth != math.inf:
-            check_real("bandwidth", bandwidth)
-        check_real("lam", lam)
-        if not bandwidth > 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-        if lam <= 0:
-            raise ValueError(f"lam must be positive, got {lam}")
-        check_integer("cap", cap)
-        if cap < 1:
-            raise ValueError(f"cap must be >= 1, got {cap}")
+            check_positive("bandwidth", bandwidth)
+        check_positive("lam", lam)
+        check_integer("cap", cap, low=1)
         self.bandwidth = bandwidth
         self.lam = lam
         self.cap = cap

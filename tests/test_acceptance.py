@@ -25,9 +25,8 @@ from neuralbandit.harness import (
 )
 from neuralbandit.network import (
     NetworkShape,
-    forward,
     forward_batch,
-    gradient,
+    gradient_batch,
     init_plain,
     init_symmetric,
     unflatten,
@@ -101,8 +100,8 @@ def test_criterion_02_gradient_matches_finite_differences():
             params = init_plain(shape, rng)
             theta = params.flat + 0.05 * rng.standard_normal(shape.num_params)
             params = unflatten(shape, theta)
-            x = rng.standard_normal(4)
-            if not away_from_kinks(params, x):
+            x = rng.standard_normal((1, 4))
+            if not away_from_kinks(params, x[0]):
                 continue
             step = 1e-5
             fd = np.zeros_like(theta)
@@ -110,9 +109,9 @@ def test_criterion_02_gradient_matches_finite_differences():
                 up, down = theta.copy(), theta.copy()
                 up[i] += step
                 down[i] -= step
-                fd[i] = (forward(unflatten(shape, up), x)
-                         - forward(unflatten(shape, down), x)) / (2 * step)
-            g = gradient(params, x)
+                fd[i] = (forward_batch(unflatten(shape, up), x)[0]
+                         - forward_batch(unflatten(shape, down), x)[0]) / (2 * step)
+            g = gradient_batch(params, x)[0]
             rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8)
             worst = max(worst, float(rel.max()))
             checked += 1

@@ -6,7 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from neuralbandit import harness
 from neuralbandit.cli import main
+
+
+def no_run(*args, **kwargs):
+    raise AssertionError("a repetition ran before the output directory was checked")
 
 
 def write_config(tmp_path, **overrides):
@@ -137,6 +142,14 @@ class TestRun:
         assert main(["run", "--config", str(config)]) == 1
         assert "output" in capsys.readouterr().err
 
+    def test_out_naming_a_file_exits_one_before_any_run(self, tmp_path, capsys, monkeypatch):
+        config = write_config(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        monkeypatch.setattr(harness, "run_single", no_run)
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert "--out:" in capsys.readouterr().err
+
     def test_missing_config_file_exits_one(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path)]) == 1
@@ -173,6 +186,24 @@ class TestGrid:
         assert json.loads((out / "best_config.json").read_text())["policy"]["eta"] == 0.001
         printed = capsys.readouterr().out
         assert "diverged: training loss is non-finite" in printed
+
+    @pytest.mark.parametrize("section", ["environment", "policy"])
+    def test_grid_path_naming_a_section_exits_one(self, tmp_path, capsys, section):
+        config = write_config(tmp_path)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({section: [1]}), encoding="utf-8")
+        assert main(["grid", "--config", str(config), "--grid", str(grid)]) == 1
+        assert f"grid: unknown parameter path '{section}'" in capsys.readouterr().err
+
+    def test_out_below_a_file_exits_one_before_any_run(self, tmp_path, capsys, monkeypatch):
+        config = write_config(tmp_path, policy={"algorithm": "lin_ucb"}, repetitions=1)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"policy.gamma": [0.1, 1.0]}), encoding="utf-8")
+        (tmp_path / "taken").write_text("", encoding="utf-8")
+        monkeypatch.setattr(harness, "run_single", no_run)
+        assert main(["grid", "--config", str(config), "--grid", str(grid),
+                     "--out", str(tmp_path / "taken" / "sub")]) == 1
+        assert "--out:" in capsys.readouterr().err
 
     def test_bad_grid_json_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path)

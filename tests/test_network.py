@@ -9,9 +9,7 @@ from neuralbandit.network import (
     NetworkShape,
     init_symmetric,
     init_plain,
-    forward,
     forward_batch,
-    gradient,
     gradient_batch,
     gradient_weighted_sum,
     unflatten,
@@ -71,25 +69,25 @@ class TestFlatten:
     def test_zero_vector_gives_zero_network(self):
         shape = NetworkShape(4, 4, 2)
         params = unflatten(shape, np.zeros(shape.num_params))
-        x = np.random.default_rng(2).standard_normal(4)
-        assert forward(params, x) == 0.0
+        xs = np.random.default_rng(2).standard_normal((3, 4))
+        assert np.all(forward_batch(params, xs) == 0.0)
 
 
 class TestInitSymmetric:
     def test_null_output_on_duplicated_context(self):
         shape = NetworkShape(4, 4, 2)
         params = init_symmetric(shape, np.random.default_rng(3))
-        assert abs(forward(params, np.array([0.5, 0.5, 0.5, 0.5]))) <= 1e-10
+        assert abs(forward_batch(params, [[0.5, 0.5, 0.5, 0.5]])[0]) <= 1e-10
 
     def test_null_output_across_widths_and_depths(self):
         rng = np.random.default_rng(4)
         for m in (4, 16, 64, 256):
             for L in (2, 3, 4):
                 params = init_symmetric(NetworkShape(8, m, L), rng)
-                half = rng.standard_normal(4)
-                x = np.concatenate([half, half])
-                x /= np.linalg.norm(x)
-                assert abs(forward(params, x)) <= 1e-8
+                half = rng.standard_normal((3, 4))
+                xs = np.concatenate([half, half], axis=1)
+                xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+                assert np.max(np.abs(forward_batch(params, xs))) <= 1e-8
 
     def test_off_diagonal_blocks_exactly_zero(self):
         params = init_symmetric(NetworkShape(4, 4, 2), np.random.default_rng(5))
@@ -142,53 +140,49 @@ class TestInitPlain:
     def test_output_generically_nonzero(self):
         rng = np.random.default_rng(10)
         params = init_plain(NetworkShape(4, 16, 2), rng)
-        x = rng.standard_normal(4)
-        assert abs(forward(params, x)) > 0.0
+        xs = rng.standard_normal((3, 4))
+        assert np.all(forward_batch(params, xs) != 0.0)
 
 
 class TestForward:
     def test_hand_computed_value(self):
         _, params = tiny_params()
-        val = forward(params, np.array([0.6, 0.8]))
+        val = forward_batch(params, [[0.6, 0.8]])[0]
         assert val == pytest.approx(np.sqrt(2) * (0.6 - 0.8), abs=1e-12)
 
     def test_all_negative_preactivations_give_zero(self):
         _, params = tiny_params()
-        assert forward(params, np.array([-1.0, -1.0])) == 0.0
+        assert forward_batch(params, [[-1.0, -1.0]])[0] == 0.0
 
     def test_output_layer_homogeneity(self):
         shape = NetworkShape(4, 8, 3)
         rng = np.random.default_rng(11)
         params = init_plain(shape, rng)
-        x = rng.standard_normal(4)
+        xs = rng.standard_normal((5, 4))
         m = shape.width
         doubled = unflatten(shape, np.concatenate([params.flat[:-m], 2.0 * params.flat[-m:]]))
-        assert forward(doubled, x) == pytest.approx(2.0 * forward(params, x), rel=1e-12)
+        assert forward_batch(doubled, xs) == pytest.approx(2.0 * forward_batch(params, xs),
+                                                           rel=1e-12)
 
-    def test_batch_matches_single(self):
-        shape = NetworkShape(4, 8, 3)
-        rng = np.random.default_rng(12)
-        params = init_plain(shape, rng)
-        xs = rng.standard_normal((5, 4))
-        batch = forward_batch(params, xs)
-        singles = [forward(params, x) for x in xs]
-        assert np.allclose(batch, singles, atol=0)
-
-    def test_dimension_mismatch_rejected(self):
+    # a row of the wrong width, and a lone row with no batch axis
+    @pytest.mark.parametrize("x", [np.zeros((1, 3)), np.zeros(2)])
+    def test_context_shape_mismatch_rejected(self, x):
         _, params = tiny_params()
-        with pytest.raises(ValueError):
-            forward(params, np.zeros(3))
+        with pytest.raises(ValueError, match="expected"):
+            forward_batch(params, x)
+        with pytest.raises(ValueError, match="expected"):
+            gradient_batch(params, x)
 
 
 def finite_difference_gradient(shape, theta, x, step=1e-5):
-    """Central differences on the flattened parameter vector; the oracle."""
+    """Central differences of f at the single row of x (shape (1, d)); the oracle."""
     fd = np.zeros_like(theta)
     for i in range(theta.size):
         up, down = theta.copy(), theta.copy()
         up[i] += step
         down[i] -= step
-        fd[i] = (forward(unflatten(shape, up), x)
-                 - forward(unflatten(shape, down), x)) / (2 * step)
+        fd[i] = (forward_batch(unflatten(shape, up), x)[0]
+                 - forward_batch(unflatten(shape, down), x)[0]) / (2 * step)
     return fd
 
 
@@ -217,13 +211,13 @@ def random_case(depth, half_d, half_m, n, seed):
 class TestGradient:
     def test_output_layer_block_hand_value(self):
         _, params = tiny_params()
-        g = gradient(params, np.array([0.6, 0.8]))
+        g = gradient_batch(params, [[0.6, 0.8]])[0]
         assert np.allclose(g[-2:], np.sqrt(2) * np.array([0.6, 0.8]), atol=1e-12)
 
     def test_relu_gating_zeroes_inactive_rows(self):
         shape = NetworkShape(2, 2, 2)
         params = unflatten(shape, [1.0, 0.0, -1.0, 0.0, 1.0, 1.0])
-        g = gradient(params, np.array([1.0, 0.5]))
+        g = gradient_batch(params, [[1.0, 0.5]])[0]
         # row 2 of W1 has negative preactivation: its row-major slots are zero
         w1_block = g[:4].reshape(2, 2)
         assert np.all(w1_block[1] == 0.0)
@@ -237,23 +231,14 @@ class TestGradient:
             params = init_plain(shape, rng)
             theta = params.flat + 0.05 * rng.standard_normal(shape.num_params)
             params = unflatten(shape, theta)
-            x = rng.standard_normal(4)
-            if not away_from_kinks(params, x):
+            x = rng.standard_normal((1, 4))
+            if not away_from_kinks(params, x[0]):
                 continue
             fd = finite_difference_gradient(shape, theta, x)
-            g = gradient(params, x)
+            g = gradient_batch(params, x)[0]
             rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8)
             assert rel.max() <= 1e-4
             checked += 1
-
-    @given(**GRADIENT_CASES)
-    @settings(max_examples=60, deadline=None)
-    def test_batch_matches_single(self, **case):
-        params, xs, _ = random_case(**case)
-        batch = gradient_batch(params, xs)
-        assert batch.shape == (xs.shape[0], params.shape.num_params)
-        for row, x in zip(batch, xs):
-            assert np.allclose(row, gradient(params, x), atol=0)
 
     @given(**GRADIENT_CASES)
     @settings(max_examples=60, deadline=None)
