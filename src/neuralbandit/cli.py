@@ -34,13 +34,16 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one experiment from a JSON config")
     run_p.add_argument("--config", required=True, help="JSON experiment config")
     run_p.add_argument("--seed", type=int, default=None, help="override base_seed")
-    run_p.add_argument("--out", default=None, help="output directory (overrides config)")
+    run_p.add_argument("--out", required=True, help="output directory")
+    run_p.set_defaults(handler=_cmd_run)
 
     grid_p = sub.add_parser("grid", help="grid search over config parameters")
     grid_p.add_argument("--config", required=True, help="JSON experiment config")
     grid_p.add_argument("--grid", required=True,
                         help="JSON object mapping parameter paths to value lists")
-    grid_p.add_argument("--out", default=None, help="output directory (overrides config)")
+    grid_p.add_argument("--out", default=None,
+                        help="write the table and the best config to this directory")
+    grid_p.set_defaults(handler=_cmd_grid)
 
     ntk_p = sub.add_parser("ntk", help="dump the kernel Gram matrix for a context file")
     ntk_p.add_argument("--contexts", required=True,
@@ -53,8 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
     ntk_p.add_argument("--rewards", default=None,
                        help="optional CSV with one reward per row; adds the RKHS-norm proxy")
     ntk_p.add_argument("--out", default=None, help="write CSV here instead of stdout")
+    ntk_p.set_defaults(handler=_cmd_ntk)
 
-    sub.add_parser("check", help="run the built-in numerical property suites")
+    check_p = sub.add_parser("check", help="run the built-in numerical property suites")
+    check_p.set_defaults(handler=_cmd_check)
     return parser
 
 
@@ -82,26 +87,21 @@ def _load_matrix(path: str, what: str) -> np.ndarray:
     return data
 
 
-def _output_dir(flag, configured):
-    """--out, else the config's output; rejected before any run when it cannot be a directory."""
-    what, out = ("--out", flag) if flag else ("output", configured)
-    if isinstance(out, str):
-        path = Path(out)
-        existing = next(p for p in (path, *path.parents) if p.exists())
-        if not existing.is_dir():
-            raise ConfigError([f"{what}: {str(existing)!r} exists and is not a directory"])
-    return out
+def _output_dir(out: str) -> None:
+    """Reject --out before any work when it is or lies under something that is not a directory."""
+    path = Path(out)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError([f"--out: {str(existing)!r} exists and is not a directory"])
 
 
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_dict(_load_json(args.config, "--config"))
     if args.seed is not None:
         config = dataclasses.replace(config, base_seed=args.seed)
-    out = _output_dir(args.out, config.output)
-    if out is None:
-        raise ConfigError(["output: give --out or set \"output\" in the config"])
+    _output_dir(args.out)
     results = run_experiment(config)
-    files = emit_results(results, out)
+    files = emit_results(results, args.out)
     finals = [r.final_regret for r in results]
     print(f"ran {len(results)} repetition(s), horizon {config.environment.horizon}")
     print(f"mean final cumulative regret: {np.mean(finals):.6g} "
@@ -116,7 +116,8 @@ def _cmd_grid(args) -> int:
     grid = _load_json(args.grid, "--grid")
     if not isinstance(grid, dict):
         raise ConfigError(["--grid: must be a JSON object of parameter paths to lists"])
-    out = _output_dir(args.out, config.output)
+    if args.out is not None:
+        _output_dir(args.out)
     best_config, table = grid_search(config, grid)
     print(f"evaluated {len(table)} combinations")
     for entry in table:
@@ -126,13 +127,17 @@ def _cmd_grid(args) -> int:
         marker = "  <-- best" if entry.best else ""
         print(f"{entry.overrides}: mean={entry.mean_final_regret:.6g} "
               f"std={entry.std_final_regret:.6g}{marker}")
-    if out is not None:
-        for f in emit_grid_table(table, best_config, out):
+    if args.out is not None:
+        for f in emit_grid_table(table, best_config, args.out):
             print(f"wrote {f}")
     return 0
 
 
 def _cmd_ntk(args) -> int:
+    if args.out:
+        if Path(args.out).is_dir():
+            raise ConfigError([f"--out: {args.out!r} is a directory"])
+        _output_dir(str(Path(args.out).parent))
     contexts = _load_matrix(args.contexts, "--contexts")
     try:
         gram = ntk_gram(contexts, args.depth)
@@ -172,22 +177,13 @@ def main(argv=None) -> int:
         # runtime failures, so remap bad flags/arguments to a validation error
         return 1 if exc.code not in (0, None) else 0
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "grid":
-            return _cmd_grid(args)
-        if args.command == "ntk":
-            return _cmd_ntk(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.handler(args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except Exception as exc:  # anything else is a runtime failure
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -127,7 +127,6 @@ class ExperimentConfig:
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     repetitions: int = 10
     base_seed: int = 0
-    output: str | None = None
 
     def validate(self) -> list:
         """Every problem with the config; a dataset environment's CSV is read."""
@@ -194,23 +193,17 @@ def _build_environment(cfg: EnvironmentConfig, rng, secret_rng, dataset=None):
     )
 
 
-def _network_shape(policy: PolicyConfig, raw_dim: int) -> NetworkShape:
-    input_dim = 2 * raw_dim if policy.resolved_preprocess() else raw_dim
-    return NetworkShape(input_dim=input_dim, width=policy.width, depth=policy.depth)
-
-
 def _build_policy(cfg: PolicyConfig, env, rng):
-    raw_dim = env.d
     algo = cfg.algorithm
+    dim = 2 * env.d if cfg.resolved_preprocess() else env.d
     if algo == "random":
         return policies.UniformRandomPolicy(rng)
     if algo == "lin_ucb":
-        dim = 2 * raw_dim if cfg.resolved_preprocess() else raw_dim
         return policies.NeuralUCB0(lambda x: x, dim, cfg.lam, ConstantWidth(cfg.gamma))
     if algo == "kernel_ucb":
         return policies.KernelUCB(cfg.kernel_bandwidth, ConstantWidth(cfg.gamma),
                                   lam=cfg.lam, cap=cfg.kernel_cap)
-    shape = _network_shape(cfg, raw_dim)
+    shape = NetworkShape(input_dim=dim, width=cfg.width, depth=cfg.depth)
     if algo == "neural_ucb":
         train = _training_config(cfg)
         if cfg.gamma is None:
@@ -274,8 +267,7 @@ def _checked(config: ExperimentConfig, datasets=None) -> tuple:
                                        {"d": "dimension"}))
     errors += _policy_errors(config.policy, built)
     errors += _rule_errors(None, config, [
-        (check_integer, "repetitions", 1), (check_integer, "base_seed", 0),
-        (check_string, "output")])
+        (check_integer, "repetitions", 1), (check_integer, "base_seed", 0)])
     return dataset, errors
 
 
@@ -355,18 +347,18 @@ def run_single(config: ExperimentConfig, rep: int, dataset=None,
     else:
         policy = _build_policy(config.policy, env, policy_rng)
         preprocess = config.policy.resolved_preprocess()
-    horizon = config.environment.horizon
-    instant = np.zeros(horizon)
+    regrets = []
     start = time.perf_counter()
-    for t in range(horizon):
+    for _ in range(config.environment.horizon):
         contexts = env.next_round()
         means = env.mean_rewards(contexts)
         feats = environments.preprocess_batch(contexts) if preprocess else contexts
         action, _ = policy.select(feats)
         reward = env.noisy_reward(float(means[action]))
         policy.update(feats[action], reward)
-        instant[t] = float(np.max(means) - means[action])
+        regrets.append(float(np.max(means) - means[action]))
     elapsed = time.perf_counter() - start
+    instant = np.array(regrets)
     snapshot = config.to_dict()
     snapshot["seed"] = seed
     return RunResult(
@@ -401,7 +393,7 @@ class GridEntry:
 def _apply_override(config: ExperimentConfig, path: str, value) -> ExperimentConfig:
     """config with the field at path set to value; a path names one field, not a section."""
     parts = path.split(".")
-    if len(parts) == 1 and parts[0] in ("repetitions", "base_seed", "output"):
+    if len(parts) == 1 and parts[0] in ("repetitions", "base_seed"):
         return dataclasses.replace(config, **{parts[0]: value})
     if len(parts) == 2 and parts[0] in ("environment", "policy"):
         section = getattr(config, parts[0])

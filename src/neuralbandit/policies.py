@@ -1,11 +1,13 @@
 """Bandit policies: three learners under one UCB choice rule, and a random baseline.
 
-The UCB policies are learners that share one select and one update:
-NeuralUCB retrains a reward network online, NeuralUCB0 runs ridge regression
-on frozen features (LinUCB on the identity map), and KernelUCB runs kernel
-ridge regression.  Each scores an arm by its predicted mean, plus a width
-times the root of the arm's posterior variance when given a width, and with
-probability epsilon plays a uniform arm instead.  Every policy exposes
+The UCB policies are learners that share one select: NeuralUCB retrains a
+reward network online, NeuralUCB0 runs ridge regression on frozen features
+(LinUCB on the identity map), and KernelUCB runs kernel ridge regression.
+Each scores an arm by its predicted mean, plus a width times the root of the
+arm's posterior variance when given a width, and with probability epsilon
+plays a uniform arm instead.  Every policy, the baseline too, shares one
+update, which checks the chosen context and reward and counts the round.
+Every policy exposes
 
     select(contexts) -> (action, scores)   # contexts: (K, d) array
     update(context, reward) -> None        # the chosen context
@@ -139,22 +141,26 @@ def train_nn(lam, eta, j_steps, contexts, rewards, theta0, batch_size=None, rng=
 
 
 def _check_contexts(contexts) -> np.ndarray:
-    """Contexts as a nonempty (K, d) float array."""
+    """Contexts as a nonempty, finite (K, d) float array; one context is one row."""
     contexts = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
-    if contexts.shape[0] == 0:
-        raise ValueError("need at least one context to select from")
+    if contexts.ndim != 2 or contexts.size == 0:
+        raise ValueError(f"contexts must be a nonempty (K, d) array, got shape {contexts.shape}")
+    if not np.isfinite(contexts).all():
+        raise ValueError("contexts must be finite")
     return contexts
 
 
-class _UCBPolicy:
-    """The choice rule of every learner, over its predicted means and variances.
+class _Policy:
+    """The round every policy plays: the UCB choice rule, and one checked update.
 
     An arm scores its predicted mean, plus gamma * sqrt(v) over the learner's
     squared width v of that arm when a width provider is given; gamma is the
-    provider's value at the current round and the learner's log-det ratio.
+    provider's value at the current round t and the learner's log-det ratio.
     With probability epsilon the policy plays a uniform arm instead, and
-    epsilon = 0 draws nothing from rng.  A learner supplies _predict (means,
-    and squared widths when a width is given), _learn, t and log_det_ratio.
+    epsilon = 0 draws nothing from rng.  update counts the round in t and
+    hands _learn the chosen context, checked, as a (1, d) float array and the
+    reward as a float.  A learner supplies _predict (means, and squared widths
+    when a width is given), _learn and log_det_ratio.
     """
 
     def __init__(self, width, epsilon, rng):
@@ -167,6 +173,7 @@ class _UCBPolicy:
         self.epsilon = epsilon
         self.rng = rng
         self.gamma = None if width is None else width(0, 0.0)
+        self.t = 0
 
     def select(self, contexts):
         means, squared_widths = self._predict(_check_contexts(contexts))
@@ -178,7 +185,12 @@ class _UCBPolicy:
         return int(np.argmax(scores)), scores
 
     def update(self, context, reward) -> None:
-        self._learn(context, reward)
+        row = _check_contexts(context)
+        if row.shape[0] != 1:
+            raise ValueError(f"update takes the one chosen context, got {row.shape[0]}")
+        check_real("reward", reward)
+        self.t += 1
+        self._learn(row, float(reward))
         if self.width_provider is not None:
             self.gamma = self.width_provider(self.t, self.log_det_ratio())
 
@@ -192,7 +204,7 @@ def _quadratic_forms(design, feats) -> np.ndarray:
     return np.array([design.quadratic_form(f) for f in feats])
 
 
-class NeuralUCB(_UCBPolicy):
+class NeuralUCB(_Policy):
     """The learner that retrains a reward network online.
 
     Means are f(x; theta).  With a width, the features are g(x; theta) / sqrt(m)
@@ -214,10 +226,6 @@ class NeuralUCB(_UCBPolicy):
         self.design = None if width is None else DesignMatrix(shape.num_params, lam,
                                                               design_mode)
 
-    @property
-    def t(self) -> int:
-        return len(self.history)
-
     def _scaled_gradients(self, contexts) -> np.ndarray:
         return gradient_batch(self.theta, contexts) / math.sqrt(self.shape.width)
 
@@ -227,10 +235,10 @@ class NeuralUCB(_UCBPolicy):
             return means, None
         return means, _quadratic_forms(self.design, self._scaled_gradients(contexts))
 
-    def _learn(self, context, reward) -> None:
+    def _learn(self, row, reward) -> None:
         if self.design is not None:
-            self.design.rank_one_update(self._scaled_gradients(np.atleast_2d(context))[0])
-        self.history.append((np.asarray(context, dtype=np.float64), float(reward)))
+            self.design.rank_one_update(self._scaled_gradients(row)[0])
+        self.history.append((row[0], reward))
         t = self.t
         cfg = self.train_config
         if t < max(cfg.train_start, 1) or t % cfg.cadence != 0:
@@ -255,7 +263,7 @@ def gradient_feature_map(shape: NetworkShape, rng: np.random.Generator):
     return (lambda x: gradient_batch(theta0, x) / scale), shape.num_params
 
 
-class NeuralUCB0(_UCBPolicy):
+class NeuralUCB0(_Policy):
     """The learner that runs online ridge regression on a frozen feature map phi.
 
     Means are phi^T (theta - theta0), with the closed-form ridge estimate, and
@@ -273,22 +281,20 @@ class NeuralUCB0(_UCBPolicy):
         self.design = DesignMatrix(feature_dim, lam, design_mode)
         self.b = np.zeros(feature_dim)
         self.theta_offset = np.zeros(feature_dim)
-        self.t = 0
 
     def _predict(self, contexts):
         phi = self.feature_map(contexts)
         widths = None if self.width_provider is None else _quadratic_forms(self.design, phi)
         return phi @ self.theta_offset, widths
 
-    def _learn(self, context, reward) -> None:
-        phi = self.feature_map(_check_contexts(context))[0]
+    def _learn(self, row, reward) -> None:
+        phi = self.feature_map(row)[0]
         self.design.rank_one_update(phi)
         self.b += reward * phi
         self.theta_offset = self.design.solve(self.b)
-        self.t += 1
 
 
-class KernelUCB(_UCBPolicy):
+class KernelUCB(_Policy):
     """The learner that runs kernel ridge regression with an RBF kernel.
 
     Means are k^T (K + lam I)^{-1} y and squared widths the posterior variance
@@ -311,7 +317,6 @@ class KernelUCB(_UCBPolicy):
         self._chol = np.zeros((0, 0))  # lower Cholesky of K + lam I
         self._coef = None              # (K + lam I)^{-1} y
         self._y = []
-        self.t = 0
 
     def _kernel(self, a, b) -> np.ndarray:
         sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] \
@@ -331,9 +336,7 @@ class KernelUCB(_UCBPolicy):
         diag = np.diag(self._chol)
         return 2.0 * float(np.sum(np.log(diag))) - diag.size * math.log(self.lam)
 
-    def _learn(self, context, reward) -> None:
-        self.t += 1
-        x = np.asarray(context, dtype=np.float64)[None, :]
+    def _learn(self, x, reward) -> None:
         if self._x is None:
             self._x = np.empty((0, x.shape[1]))
         elif self._x.shape[0] >= self.cap:
@@ -348,23 +351,22 @@ class KernelUCB(_UCBPolicy):
         grown[n, n] = corner
         self._chol = grown
         self._x = np.vstack([self._x, x])
-        self._y.append(float(reward))
+        self._y.append(reward)
         y = np.asarray(self._y)
         self._coef = solve_triangular(
             self._chol.T, solve_triangular(self._chol, y, lower=True), lower=False
         )
 
 
-class UniformRandomPolicy:
+class UniformRandomPolicy(_Policy):
     """Picks uniformly among the arms; the no-learning baseline."""
 
     def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self.t = 0
+        super().__init__(None, 0.0, rng)
 
     def select(self, contexts):
         k = _check_contexts(contexts).shape[0]
         return int(self.rng.integers(k)), np.zeros(k)
 
-    def update(self, context, reward) -> None:
-        self.t += 1
+    def _learn(self, row, reward) -> None:
+        pass

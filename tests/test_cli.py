@@ -6,12 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from neuralbandit import harness
+from neuralbandit import cli, harness
 from neuralbandit.cli import main
 
 
 def no_run(*args, **kwargs):
     raise AssertionError("a repetition ran before the output directory was checked")
+
+
+def no_gram(*args, **kwargs):
+    raise AssertionError("the Gram matrix was computed before --out was checked")
 
 
 def write_config(tmp_path, **overrides):
@@ -90,7 +94,7 @@ class TestRun:
         pytest.param({}, {"preprocess": "false"}, {}, "policy.preprocess",
                      id="string-preprocess"),
         pytest.param({"shuffle": "no"}, {}, {}, "environment.shuffle", id="string-shuffle"),
-        pytest.param({}, {}, {"output": 5}, "output", id="int-output"),
+        pytest.param({}, {}, {"output": "o"}, "output: unknown key", id="removed-output"),
         pytest.param({"kind": "dataset", "dataset_path": 5, "label_column": "label"}, {}, {},
                      "environment.dataset_path", id="int-dataset-path"),
     ])
@@ -140,7 +144,7 @@ class TestRun:
     def test_missing_output_location_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path)
         assert main(["run", "--config", str(config)]) == 1
-        assert "output" in capsys.readouterr().err
+        assert "--out" in capsys.readouterr().err
 
     def test_out_naming_a_file_exits_one_before_any_run(self, tmp_path, capsys, monkeypatch):
         config = write_config(tmp_path)
@@ -242,6 +246,20 @@ class TestNtk:
         assert main(["ntk", "--contexts", str(contexts), "--depth", "2",
                      "--lambda", "1.0", "--tk", "4", "--out", str(target)]) == 0
         assert "effective_dimension" in target.read_text()
+
+    @pytest.mark.parametrize("target", [
+        pytest.param(".", id="existing-directory"),
+        pytest.param("taken/gram.csv", id="below-a-file"),
+    ])
+    def test_unusable_out_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                    target):
+        contexts = tmp_path / "ctx.csv"
+        contexts.write_text("1,0\n0,1\n", encoding="utf-8")
+        (tmp_path / "taken").write_text("", encoding="utf-8")
+        monkeypatch.setattr(cli, "ntk_gram", no_gram)
+        assert main(["ntk", "--contexts", str(contexts), "--depth", "2", "--lambda", "1.0",
+                     "--tk", "4", "--out", str(tmp_path / target)]) == 1
+        assert "--out:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text,message", [
         pytest.param("1,1\n0,0\n", "rows [1] have a zero or non-finite norm", id="zero-row"),

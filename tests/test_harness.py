@@ -13,6 +13,7 @@ import pytest
 
 from neuralbandit import harness
 from neuralbandit.confidence import NeuralWidth, RidgeWidth
+from neuralbandit.network import NetworkShape
 from neuralbandit.harness import (
     ConfigError,
     EnvironmentConfig,
@@ -337,7 +338,8 @@ class TestValidation:
         policy = PolicyConfig(algorithm="neural_ucb", width=4, gamma=None, **fields)
         built = harness._build_policy(policy, SimpleNamespace(d=2), np.random.default_rng(0))
         expected = NeuralWidth(RidgeWidth(policy.nu, policy.delta, policy.s_norm, policy.lam),
-                               harness._network_shape(policy, 2), harness._training_config(policy))
+                               NetworkShape(input_dim=4, width=policy.width, depth=policy.depth),
+                               harness._training_config(policy))
         assert isinstance(built.width_provider, NeuralWidth)
         assert built.gamma == expected(0, 0.0)
         assert built.width_provider(7, 1.5) == expected(7, 1.5)
@@ -521,6 +523,22 @@ class TestRunSingle:
         res = run_single(linear_linucb_config(horizon=5, reps=1), 0)
         assert res.wall_clock > 0.0
         assert res.seed == 3
+
+    def test_a_horizon_too_large_to_allocate_still_plays(self):
+        class Stop(Exception):
+            pass
+
+        class StopAtThirdUpdate(OraclePolicy):
+            updates = 0
+
+            def update(self, context, reward) -> None:
+                self.updates += 1
+                if self.updates == 3:
+                    raise Stop
+
+        factory = lambda env, rng: (StopAtThirdUpdate(env), False)
+        with pytest.raises(Stop):
+            run_single(tiny_neural_config(horizon=10**40), 0, policy_factory=factory)
 
     def test_secret_shared_across_reps(self):
         config = tiny_neural_config()

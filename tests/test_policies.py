@@ -443,6 +443,44 @@ class TestChoiceRule:
             NeuralUCB0(lambda x: x, 3, 1.0, None, epsilon=0.1)
 
 
+CONTRACT_POLICIES = {
+    "kernel_ucb": lambda: KernelUCB(1.0, ConstantWidth(1.0)),
+    "neural_ucb": lambda: NeuralUCB(NetworkShape(4, 4, 2), 1.0, ConstantWidth(0.5),
+                                    np.random.default_rng(110), train=FAST_TRAIN),
+    "lin_ucb": lambda: lin_ucb(4, gamma=1.0),
+    "random": lambda: UniformRandomPolicy(np.random.default_rng(111)),
+}
+NAN_ROW = np.array([1.0, math.nan, 0.0, 1.0])
+
+
+class TestUpdateContract:
+    """The one update every policy shares: one finite context and reward make one round."""
+
+    @pytest.mark.parametrize("name", CONTRACT_POLICIES)
+    def test_t_counts_rounds(self, name):
+        policy = CONTRACT_POLICIES[name]()
+        rng = np.random.default_rng(112)
+        for t in range(1, 4):
+            contexts = rng.standard_normal((3, 4))
+            action, _ = policy.select(contexts)
+            policy.update(contexts[action], float(rng.standard_normal()))
+            assert policy.t == t
+
+    @pytest.mark.parametrize("name", CONTRACT_POLICIES)
+    @pytest.mark.parametrize("method,args", [
+        pytest.param("update", (np.zeros(0), 1.0), id="update-empty-context"),
+        pytest.param("update", (np.ones((2, 4)), 1.0), id="update-two-contexts"),
+        pytest.param("update", (NAN_ROW, 1.0), id="update-nan-context"),
+        pytest.param("update", (np.ones(4), math.nan), id="update-nan-reward"),
+        pytest.param("select", (np.vstack([np.ones(4), NAN_ROW]),), id="select-nan-context"),
+    ])
+    def test_bad_input_is_rejected_without_counting_a_round(self, name, method, args):
+        policy = CONTRACT_POLICIES[name]()
+        with pytest.raises((ValueError, TypeError)):
+            getattr(policy, method)(*args)
+        assert policy.t == 0
+
+
 class TestLinUCB:
     def test_fresh_scores_scale_with_context_norm(self):
         policy = lin_ucb(3, gamma=2.0, lam=4.0)
