@@ -120,8 +120,9 @@ class NetworkShape:
 class NetworkParams:
     """Parameters theta matching a NetworkShape; build them with unflatten.
 
-    `flat` is the read-only parameter vector of length p and `weights` holds
-    (W_1, ..., W_L) as row-major views of it, so the two never disagree.
+    `flat` is the parameter vector of length p, read-only except inside
+    policies.train_nn's loop, which steps its own copy in place; `weights`
+    holds (W_1, ..., W_L) as row-major views of it, so the two never disagree.
     """
 
     shape: NetworkShape
@@ -206,7 +207,7 @@ def _forward_pass(params: NetworkParams, x: np.ndarray):
         pres.append(z)
         a = np.maximum(z, 0.0)
         acts.append(a)
-    out = np.sqrt(params.shape.width) * (acts[-1] @ params.weights[-1].ravel())
+    out = math.sqrt(params.shape.width) * (acts[-1] @ params.weights[-1].ravel())
     return out, acts, pres
 
 
@@ -226,7 +227,7 @@ def _backprop(params: NetworkParams, x: np.ndarray, seed: np.ndarray):
     an exact zero preactivation is taken as 0.
     """
     _, acts, pres = _forward_pass(params, x)
-    delta = (np.sqrt(params.shape.width) * seed)[:, None] \
+    delta = (math.sqrt(params.shape.width) * seed)[:, None] \
         * params.weights[-1].ravel()[None, :] * (pres[-1] > 0)
     deltas = [delta]
     for l in range(params.shape.depth - 2, 0, -1):
@@ -244,7 +245,7 @@ def gradient_batch(params: NetworkParams, x) -> np.ndarray:
     # row i of a block is outer(d_i, a_i) flattened row-major, like the weight views
     blocks = [(d[:, :, None] * a[:, None, :]).reshape(n, -1)
               for a, d in zip(acts, deltas)]
-    blocks.append(np.sqrt(params.shape.width) * acts[-1])
+    blocks.append(math.sqrt(params.shape.width) * acts[-1])
     return np.concatenate(blocks, axis=1)
 
 
@@ -260,5 +261,5 @@ def gradient_weighted_sum(params: NetworkParams, x, weights) -> np.ndarray:
         raise ValueError(f"weights shape {weights.shape} != ({x.shape[0]},)")
     acts, deltas = _backprop(params, x, weights)
     blocks = [(d.T @ a).ravel() for a, d in zip(acts, deltas)]
-    blocks.append(np.sqrt(params.shape.width) * (weights @ acts[-1]))
+    blocks.append(math.sqrt(params.shape.width) * (weights @ acts[-1]))
     return np.concatenate(blocks)

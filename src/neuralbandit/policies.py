@@ -84,15 +84,19 @@ def train_nn(lam, eta, j_steps, contexts, rewards, theta0, batch_size=None, rng=
 
     Minimizes  sum_i (f(x_i; theta) - r_i)^2 / 2 + m*lam*||theta - theta0||^2 / 2
     for j_steps steps from theta0 and returns the final parameters together
-    with the loss trajectory: the full-data loss at the start of each epoch
-    and once at the end.  Full-gradient mode takes one step per epoch, so it
-    records the loss at every iterate; minibatch mode shuffles the data once
-    per epoch.  Each minibatch step descends that batch's partial data sum
-    plus the full proximity term; leaving the batch term unscaled is what
-    keeps step sizes in the 1e-3..1e-1 range stable as the history grows.
+    with the loss trajectory.  Full-gradient mode takes one step per epoch and
+    records the loss at every iterate and at the end; minibatch mode shuffles
+    the data once per epoch and records the full-data loss only before the
+    first step and after the last.  Each minibatch step descends that batch's
+    partial data sum plus the full proximity term; leaving the batch term
+    unscaled is what keeps step sizes in the 1e-3..1e-1 range stable as the
+    history grows.
 
-    A non-finite recorded loss raises DivergenceError naming its step.
-    Overflow inside an epoch carries through to the next recorded loss.
+    A non-finite loss raises DivergenceError naming its step.  The loss is
+    checked at every epoch start and at the end; at a later epoch start in
+    minibatch mode it is the first batch's residual plus the proximity term,
+    which needs no extra forward pass.  Overflow inside an epoch carries
+    through to the next check.
     """
     x = np.asarray(contexts, dtype=np.float64)
     r = np.asarray(rewards, dtype=np.float64)
@@ -109,33 +113,46 @@ def train_nn(lam, eta, j_steps, contexts, rewards, theta0, batch_size=None, rng=
     m = shape.width
     b = n if batch_size is None else min(batch_size, n)
     params = theta0
+    if j_steps > 0:  # step a private copy of theta0 in place; frozen again on return
+        params = unflatten(shape, theta0.flat)
+        params.flat.flags.writeable = True
+    flat = params.flat
+    prox = np.empty_like(flat)  # theta - theta0, then its proximity gradient
     losses = []
     step = 0
 
-    def record(resid):
-        dtheta = params.flat - theta0.flat
-        loss = 0.5 * float(resid @ resid) + 0.5 * m * lam * float(dtheta @ dtheta)
+    def checked_loss(resid):
+        np.subtract(flat, theta0.flat, out=prox)
+        loss = 0.5 * float(resid @ resid) + 0.5 * m * lam * float(prox @ prox)
         if not math.isfinite(loss):
             raise DivergenceError(f"training loss is non-finite at step {step} (eta={eta})")
-        losses.append(loss)
+        return loss
 
-    # overflow only means divergence, which the next recorded loss reports
+    # overflow only means divergence, which the next check reports
     with np.errstate(over="ignore", invalid="ignore"):
         while step < j_steps:
-            order = None if batch_size is None else rng.permutation(n)
+            order = slice(None) if batch_size is None else rng.permutation(n)
+            xs, rs = x[order], r[order]  # views in full-gradient mode
             for lo in range(0, n, b):
                 if step >= j_steps:
                     break
-                idx = slice(lo, lo + b) if order is None else order[lo : lo + b]
-                xb, rb = x[idx], r[idx]
+                xb, rb = xs[lo : lo + b], rs[lo : lo + b]
                 resid = forward_batch(params, xb) - rb
-                if lo == 0:
-                    record(resid if order is None else forward_batch(params, x) - r)
-                grad = gradient_weighted_sum(params, xb, resid) \
-                    + m * lam * (params.flat - theta0.flat)
-                params = unflatten(shape, params.flat - eta * grad)
+                if batch_size is None:
+                    losses.append(checked_loss(resid))
+                elif step == 0:
+                    losses.append(checked_loss(forward_batch(params, x) - r))
+                elif lo == 0:
+                    checked_loss(resid)
+                grad = gradient_weighted_sum(params, xb, resid)
+                np.subtract(flat, theta0.flat, out=prox)
+                prox *= m * lam
+                grad += prox
+                grad *= eta
+                flat -= grad
                 step += 1
-        record(forward_batch(params, x) - r)
+        losses.append(checked_loss(forward_batch(params, x) - r))
+    flat.flags.writeable = False
 
     return params, np.asarray(losses)
 
@@ -300,7 +317,8 @@ class KernelUCB(_Policy):
     Means are k^T (K + lam I)^{-1} y and squared widths the posterior variance
     1 - ||L^{-1} k||^2 (0 and 1 before any data), with L the Cholesky factor of
     K + lam I.  L grows by one row per observation; once the context buffer
-    hits the cap the model is frozen and later rewards are ignored.
+    hits the cap the model is frozen and later rewards are ignored.  The solves
+    skip scipy's finiteness scan, since L is built from checked contexts.
     """
 
     def __init__(self, bandwidth: float, width, lam: float = 1.0, cap: int = 1000):
@@ -328,7 +346,7 @@ class KernelUCB(_Policy):
         if self._x is None:
             return np.zeros(contexts.shape[0]), np.ones(contexts.shape[0])
         kt = self._kernel(self._x, contexts)          # (n, K)
-        half = solve_triangular(self._chol, kt, lower=True)
+        half = solve_triangular(self._chol, kt, lower=True, check_finite=False)
         return kt.T @ self._coef, 1.0 - np.sum(half * half, axis=0)  # RBF diagonal is 1
 
     def log_det_ratio(self) -> float:
@@ -342,7 +360,7 @@ class KernelUCB(_Policy):
         elif self._x.shape[0] >= self.cap:
             return
         k = self._kernel(self._x, x)[:, 0]
-        row = solve_triangular(self._chol, k, lower=True)
+        row = solve_triangular(self._chol, k, lower=True, check_finite=False)
         corner = math.sqrt(max(1.0 + self.lam - float(row @ row), self.lam * 1e-12))
         n = self._chol.shape[0]
         grown = np.zeros((n + 1, n + 1))
@@ -352,10 +370,8 @@ class KernelUCB(_Policy):
         self._chol = grown
         self._x = np.vstack([self._x, x])
         self._y.append(reward)
-        y = np.asarray(self._y)
-        self._coef = solve_triangular(
-            self._chol.T, solve_triangular(self._chol, y, lower=True), lower=False
-        )
+        z = solve_triangular(self._chol, np.asarray(self._y), lower=True, check_finite=False)
+        self._coef = solve_triangular(self._chol.T, z, lower=False, check_finite=False)
 
 
 class UniformRandomPolicy(_Policy):

@@ -12,8 +12,11 @@ from neuralbandit.environments import preprocess_batch
 from neuralbandit.harness import PolicyConfig, _build_policy
 from neuralbandit.network import (
     NetworkShape,
+    forward_batch,
     gradient_batch,
+    gradient_weighted_sum,
     init_symmetric,
+    unflatten,
 )
 from neuralbandit.policies import (
     DivergenceError,
@@ -49,6 +52,43 @@ def batch_ridge_ucb(seen, rewards, contexts, gamma, lam):
     theta = np.linalg.solve(a_mat, x.T @ np.asarray(rewards, dtype=np.float64))
     qforms = np.einsum("ij,ji->i", contexts, np.linalg.solve(a_mat, contexts.T))
     return int(np.argmax(contexts @ theta + gamma * np.sqrt(np.maximum(qforms, 0.0))))
+
+
+def reference_train_nn(lam, eta, j_steps, x, r, theta0, batch_size=None, rng=None):
+    """train_nn's loop in its plain form, the bit-for-bit oracle for the real one:
+    a new parameter object every step, each minibatch gathered by fancy
+    indexing, and the full-data loss recorded at every epoch start."""
+    m = theta0.shape.width
+    n = x.shape[0]
+    b = n if batch_size is None else min(batch_size, n)
+    params = theta0
+    losses = []
+    step = 0
+
+    def record(resid):
+        dtheta = params.flat - theta0.flat
+        loss = 0.5 * float(resid @ resid) + 0.5 * m * lam * float(dtheta @ dtheta)
+        if not math.isfinite(loss):
+            raise DivergenceError(f"training loss is non-finite at step {step} (eta={eta})")
+        losses.append(loss)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        while step < j_steps:
+            order = None if batch_size is None else rng.permutation(n)
+            for lo in range(0, n, b):
+                if step >= j_steps:
+                    break
+                idx = slice(lo, lo + b) if order is None else order[lo : lo + b]
+                xb, rb = x[idx], r[idx]
+                resid = forward_batch(params, xb) - rb
+                if lo == 0:
+                    record(resid if order is None else forward_batch(params, x) - r)
+                grad = gradient_weighted_sum(params, xb, resid) \
+                    + m * lam * (params.flat - theta0.flat)
+                params = unflatten(theta0.shape, params.flat - eta * grad)
+                step += 1
+        record(forward_batch(params, x) - r)
+    return params, np.asarray(losses)
 
 
 class TestTrainNN:
@@ -110,11 +150,51 @@ class TestTrainNN:
                 train_nn(1.0, 1000.0, 200, x, r, theta0, batch_size=batch_size,
                          rng=np.random.default_rng(53))
 
-    def test_minibatch_runs_and_tracks_epoch_losses(self):
+    def test_minibatch_divergence_in_a_later_epoch_matches_the_reference(self):
+        # 5 steps per epoch; the loss first overflows many epochs in, where
+        # the loop checks the first batch instead of the full data
+        _, theta0, x, r = self.shape_and_data(40)
+        messages = []
+        for train in (reference_train_nn, train_nn):
+            with pytest.raises(DivergenceError) as err:
+                train(1.0, 0.018, 200, x, r, theta0, batch_size=8,
+                      rng=np.random.default_rng(53))
+            messages.append(str(err.value))
+        assert messages[0] == "training loss is non-finite at step 85 (eta=0.018)"
+        assert messages[1] == messages[0]
+
+    @pytest.mark.parametrize("n,j_steps,batch_size", [
+        pytest.param(8, 30, None, id="full-gradient"),
+        pytest.param(40, 3, 8, id="minibatch-part-of-one-epoch"),
+        pytest.param(40, 23, 8, id="minibatch-several-epochs"),
+        pytest.param(8, 6, 20, id="batch-larger-than-data"),
+    ])
+    def test_matches_the_reference_loop_bit_for_bit(self, n, j_steps, batch_size):
+        _, theta0, x, r = self.shape_and_data(n)
+        start = theta0.flat.copy()
+        params, losses = train_nn(0.3, 1e-2, j_steps, x, r, theta0,
+                                  batch_size=batch_size, rng=np.random.default_rng(53))
+        want, want_losses = reference_train_nn(0.3, 1e-2, j_steps, x, r, theta0,
+                                               batch_size=batch_size,
+                                               rng=np.random.default_rng(53))
+        assert params.flat.tobytes() == want.flat.tobytes()
+        assert losses[0] == want_losses[0]
+        assert losses[-1] == want_losses[-1]
+        if batch_size is None:
+            assert losses.tobytes() == want_losses.tobytes()
+        assert theta0.flat.tobytes() == start.tobytes()
+        assert not theta0.flat.flags.writeable
+        assert not params.flat.flags.writeable
+        for w in params.weights:
+            assert np.shares_memory(w, params.flat)
+        assert np.array_equal(np.concatenate([w.ravel() for w in params.weights]),
+                              params.flat)
+
+    def test_minibatch_records_the_first_and_last_loss(self):
         _, theta0, x, r = self.shape_and_data()
         params, losses = train_nn(1.0, 1e-3, 12, x, r, theta0,
                                   batch_size=4, rng=np.random.default_rng(53))
-        assert losses.size >= 2
+        assert losses.shape == (2,)
         assert losses[-1] < losses[0]
 
     def test_minibatch_requires_rng(self):
