@@ -21,7 +21,8 @@ import numpy as np
 from scipy.linalg.blas import dsymv, dsyr
 from scipy.linalg.lapack import dpotrf, dpotri
 
-from neuralbandit.network import NetworkShape, check_integer, check_positive, check_real
+from neuralbandit.network import (NetworkShape, check_array, check_integer, check_positive,
+                                  check_real)
 
 if TYPE_CHECKING:
     from neuralbandit.policies import TrainingConfig
@@ -72,15 +73,9 @@ class DesignMatrix:
     def _z_inv(self) -> np.ndarray:
         return _scaled_identity(self.dim, 1.0 / self.lam)
 
-    def _check_vec(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.dim,):
-            raise ValueError(f"vector has shape {v.shape}, expected ({self.dim},)")
-        return v
-
     def rank_one_update(self, u) -> None:
         """Z += u u^T (full) or Z_kk += u_k^2 (diagonal)."""
-        u = self._check_vec(u)
+        u = check_array("u", u, 1, self.dim)
         if self.mode == "diagonal":
             self._diag += u * u
             self._updates += 1
@@ -111,14 +106,14 @@ class DesignMatrix:
 
     def quadratic_form(self, v) -> float:
         """v^T Z^{-1} v; nonnegative."""
-        v = self._check_vec(v)
+        v = check_array("v", v, 1, self.dim)
         if self.mode == "diagonal":
             return float(np.sum(v * v / self._diag))
         return float(v @ dsymv(1.0, self._z_inv, v))
 
     def solve(self, rhs) -> np.ndarray:
         """Z^{-1} rhs using the maintained inverse (or the diagonal)."""
-        rhs = self._check_vec(rhs)
+        rhs = check_array("rhs", rhs, 1, self.dim)
         if self.mode == "diagonal":
             return rhs / self._diag
         return dsymv(1.0, self._z_inv, rhs)
@@ -203,8 +198,9 @@ class NeuralWidth:
     action: the width terms make gamma_t about 5.7e5 at t = 1 and 1.5e16 at
     t = 2000 on the h1 protocol (m = 20, L = 2, lam = 0.01), and runs with
     other constants gave identical regret.  Every input has been checked by
-    the ridge width, the network shape or the training config; the only check
-    here is eta * m * lam < 1, which the decay term needs.
+    the ridge width, the network shape or the training config; the checks
+    here are eta * m * lam < 1, which the decay term needs, and that
+    lam^(-5/3), the largest of the fixed powers of lam, is finite.
     """
 
     def __init__(self, ridge: RidgeWidth, shape: NetworkShape, train: "TrainingConfig"):
@@ -214,6 +210,11 @@ class NeuralWidth:
                 f"eta*width*lam = {decay_base:.6g} >= 1: step size too large for the "
                 "geometric decay term to be meaningful"
             )
+        try:
+            ridge.lam ** (-5.0 / 3.0)
+        except OverflowError:
+            raise ValueError(f"lam must be large enough that lam^(-5/3) is finite, "
+                             f"got {ridge.lam}") from None
         self.ridge = ridge
         self.shape = shape
         self.train = train

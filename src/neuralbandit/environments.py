@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from neuralbandit.network import check_integer, check_real
+from neuralbandit.network import check_array, check_integer, check_real
 
 __all__ = [
     "sample_unit_ball",
@@ -45,9 +45,7 @@ def preprocess_batch(contexts) -> np.ndarray:
     Each output row is a unit vector with identical halves, so a
     block-symmetric network evaluates to exactly zero on it at initialization.
     """
-    x = np.asarray(contexts, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"contexts must be 2-d, got shape {x.shape}")
+    x = check_array("contexts", contexts, 2)
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise ValueError("cannot preprocess a zero context row")
@@ -115,10 +113,8 @@ class DatasetBandit:
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, num_classes: int,
                  rng: np.random.Generator | None = None):
-        features = np.asarray(features, dtype=np.float64)
+        features = check_array("features", features, 2)
         labels = np.asarray(labels)
-        if features.ndim != 2:
-            raise ValueError(f"features must be 2-d, got shape {features.shape}")
         if labels.shape != (features.shape[0],):
             raise ValueError("labels must align with feature rows")
         check_integer("num_classes", num_classes, low=2)

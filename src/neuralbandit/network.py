@@ -77,6 +77,22 @@ def check_string(name: str, value) -> None:
         raise TypeError(f"{name} must be a string, got {value!r}")
 
 
+def check_array(name: str, value, ndim: int, length=None) -> np.ndarray:
+    """value as a float64 array; ValueError, naming the argument, unless its shape fits.
+
+    The array must have ndim axes and, when length is given, a last axis of
+    that length.  The message gives the shape found and the shape expected,
+    with ? for an axis of any length.  This runs on every forward pass and
+    rank-one update, so the check is integer comparisons only.
+    """
+    array = np.asarray(value, dtype=np.float64)
+    if array.ndim != ndim or (length is not None and array.shape[-1] != length):
+        axes = ["?"] * (ndim - 1) + ["?" if length is None else str(length)]
+        raise ValueError(f"{name} has shape {array.shape}, "
+                         f"expected ({', '.join(axes)}{',' * (ndim == 1)})")
+    return array
+
+
 def _check_low(name: str, value, low) -> None:
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
@@ -142,11 +158,7 @@ def _layer_views(shape: NetworkShape, vec: np.ndarray) -> tuple:
 
 def unflatten(shape: NetworkShape, vec) -> NetworkParams:
     """Parameters holding a read-only copy of vec; raises on wrong vector length."""
-    flat = np.array(vec, dtype=np.float64)
-    if flat.shape != (shape.num_params,):
-        raise ValueError(
-            f"parameter vector has shape {flat.shape}, expected ({shape.num_params},)"
-        )
+    flat = check_array("vec", vec, 1, shape.num_params).copy()
     flat.flags.writeable = False
     return NetworkParams(shape, flat, _layer_views(shape, flat))
 
@@ -188,15 +200,6 @@ def init_plain(shape: NetworkShape, rng: np.random.Generator) -> NetworkParams:
     return unflatten(shape, vec)
 
 
-def _check_input(params: NetworkParams, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.shape.input_dim:
-        raise ValueError(
-            f"context has shape {x.shape}, expected (n, {params.shape.input_dim})"
-        )
-    return x
-
-
 def _forward_pass(params: NetworkParams, x: np.ndarray):
     """Shared forward over a batch of rows; returns activations and preactivations."""
     acts = [x]
@@ -213,7 +216,7 @@ def _forward_pass(params: NetworkParams, x: np.ndarray):
 
 def forward_batch(params: NetworkParams, x) -> np.ndarray:
     """Evaluate f on each row of x; returns a length-n vector."""
-    x = _check_input(params, x)
+    x = check_array("x", x, 2, params.shape.input_dim)
     out, _, _ = _forward_pass(params, x)
     return out
 
@@ -239,7 +242,7 @@ def _backprop(params: NetworkParams, x: np.ndarray, seed: np.ndarray):
 
 def gradient_batch(params: NetworkParams, x) -> np.ndarray:
     """Gradients for each row of x, stacked into an (n, p) matrix."""
-    x = _check_input(params, x)
+    x = check_array("x", x, 2, params.shape.input_dim)
     n = x.shape[0]
     acts, deltas = _backprop(params, x, np.ones(n))
     # row i of a block is outer(d_i, a_i) flattened row-major, like the weight views
@@ -255,10 +258,8 @@ def gradient_weighted_sum(params: NetworkParams, x, weights) -> np.ndarray:
     This is the data-term gradient of a squared loss when weights are the
     residuals; cost is a handful of matrix products regardless of n.
     """
-    x = _check_input(params, x)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (x.shape[0],):
-        raise ValueError(f"weights shape {weights.shape} != ({x.shape[0]},)")
+    x = check_array("x", x, 2, params.shape.input_dim)
+    weights = check_array("weights", weights, 1, x.shape[0])
     acts, deltas = _backprop(params, x, weights)
     blocks = [(d.T @ a).ravel() for a, d in zip(acts, deltas)]
     blocks.append(math.sqrt(params.shape.width) * (weights @ acts[-1]))

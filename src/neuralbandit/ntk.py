@@ -14,7 +14,8 @@ two at the top.  Deterministic; rho is clamped to [-1, 1] to absorb rounding.
 
 import numpy as np
 
-from neuralbandit.network import NetworkParams, check_integer, check_positive, gradient_batch
+from neuralbandit.network import (NetworkParams, check_array, check_integer, check_positive,
+                                  gradient_batch)
 
 __all__ = [
     "ntk_gram",
@@ -56,13 +57,6 @@ def _kernel_recursion(contexts: np.ndarray, depth: int):
     return cov, tangent
 
 
-def _as_context_matrix(contexts) -> np.ndarray:
-    x = np.asarray(contexts, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"contexts must be a 2-d array, got shape {x.shape}")
-    return x
-
-
 def ntk_gram(contexts, depth: int) -> np.ndarray:
     """Exact kernel Gram matrix over nonzero finite contexts at the given depth.
 
@@ -70,7 +64,7 @@ def ntk_gram(contexts, depth: int) -> np.ndarray:
     so rows need not be unit-norm; a row whose norm is zero (no direction)
     or not finite in float64 is rejected.  depth >= 2.
     """
-    x = _as_context_matrix(contexts)
+    x = check_array("contexts", contexts, 2)
     check_integer("depth", depth, low=2)
     norms = np.linalg.norm(x, axis=1)
     bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
@@ -90,14 +84,14 @@ def empirical_gram(params0: NetworkParams, contexts) -> np.ndarray:
     converges to the tangent accumulator alone, i.e. 2H - S^(L), because its
     output layer carries twice the variance.
     """
-    x = _as_context_matrix(contexts)
+    x = check_array("contexts", contexts, 2, params0.shape.input_dim)
     g = gradient_batch(params0, x) / np.sqrt(params0.shape.width)
     return g @ g.T
 
 
 def _check_gram(h) -> np.ndarray:
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] == 0:
+    h = check_array("h", h, 2)
+    if h.shape[0] != h.shape[1] or h.shape[0] == 0:
         raise ValueError(f"Gram matrix must be square and nonempty, got shape {h.shape}")
     return h
 
@@ -128,9 +122,7 @@ def rkhs_norm_proxy(h, rewards) -> float:
     assumption on the Gram matrix fails.
     """
     h = _check_gram(h)
-    r = np.asarray(rewards, dtype=np.float64)
-    if r.shape != (h.shape[0],):
-        raise ValueError(f"rewards shape {r.shape} does not match Gram size {h.shape[0]}")
+    r = check_array("rewards", rewards, 1, h.shape[0])
     min_eig = float(np.linalg.eigvalsh(h)[0])
     if min_eig <= SINGULARITY_THRESHOLD:
         raise ValueError(

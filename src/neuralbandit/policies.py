@@ -26,6 +26,7 @@ from scipy.linalg import solve_triangular
 from neuralbandit.confidence import DesignMatrix
 from neuralbandit.network import (
     NetworkShape,
+    check_array,
     check_integer,
     check_positive,
     check_real,
@@ -98,10 +99,8 @@ def train_nn(lam, eta, j_steps, contexts, rewards, theta0, batch_size=None, rng=
     which needs no extra forward pass.  Overflow inside an epoch carries
     through to the next check.
     """
-    x = np.asarray(contexts, dtype=np.float64)
-    r = np.asarray(rewards, dtype=np.float64)
-    if x.ndim != 2 or r.shape != (x.shape[0],):
-        raise ValueError(f"contexts {x.shape} and rewards {r.shape} do not align")
+    x = check_array("contexts", contexts, 2, theta0.shape.input_dim)
+    r = check_array("rewards", rewards, 1, x.shape[0])
     check_integer("j_steps", j_steps, low=0)
     n = x.shape[0]
     if j_steps > 0 and n == 0:
@@ -314,11 +313,16 @@ class NeuralUCB0(_Policy):
 class KernelUCB(_Policy):
     """The learner that runs kernel ridge regression with an RBF kernel.
 
-    Means are k^T (K + lam I)^{-1} y and squared widths the posterior variance
-    1 - ||L^{-1} k||^2 (0 and 1 before any data), with L the Cholesky factor of
-    K + lam I.  L grows by one row per observation; once the context buffer
-    hits the cap the model is frozen and later rewards are ignored.  The solves
-    skip scipy's finiteness scan, since L is built from checked contexts.
+    Its state is the buffer of chosen contexts, the lower Cholesky factor L of
+    K + lam I over them, and z = L^{-1} y for their rewards y.  An arm with
+    kernel column k and h = L^{-1} k has mean k^T (K + lam I)^{-1} y = h^T z
+    and squared width the posterior variance 1 - ||h||^2 (0 and 1 before any
+    data).  Each observation appends one row to L and one entry to z; once the
+    buffer hits the cap the model is frozen and later rewards are ignored.
+    The triangular solves skip scipy's finiteness scan: L and the kernel
+    columns are built only from contexts and rewards that _Policy has checked
+    to be finite, kernel values lie in [0, 1], and L's diagonal is kept at
+    least sqrt(lam * 1e-12), so the scan would only repeat those checks.
     """
 
     def __init__(self, bandwidth: float, width, lam: float = 1.0, cap: int = 1000):
@@ -326,6 +330,8 @@ class KernelUCB(_Policy):
         # an infinite bandwidth is the constant-kernel limit, where every arm ties
         if bandwidth != math.inf:
             check_positive("bandwidth", bandwidth)
+        if bandwidth * bandwidth == 0:  # the kernel of a context with itself would be 0/0
+            raise ValueError(f"bandwidth must have a nonzero square, got {bandwidth}")
         check_positive("lam", lam)
         check_integer("cap", cap, low=1)
         self.bandwidth = bandwidth
@@ -333,21 +339,20 @@ class KernelUCB(_Policy):
         self.cap = cap
         self._x = None                 # (n, d) stored contexts
         self._chol = np.zeros((0, 0))  # lower Cholesky of K + lam I
-        self._coef = None              # (K + lam I)^{-1} y
-        self._y = []
+        self._z = np.zeros(0)          # L^{-1} y
 
     def _kernel(self, a, b) -> np.ndarray:
         sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] \
             - 2.0 * (a @ b.T)
         with np.errstate(over="ignore"):
-            return np.exp(-np.maximum(sq, 0.0) / (2.0 * self.bandwidth**2))
+            return np.exp(-np.maximum(sq, 0.0) / (2.0 * self.bandwidth * self.bandwidth))
 
     def _predict(self, contexts):
         if self._x is None:
             return np.zeros(contexts.shape[0]), np.ones(contexts.shape[0])
         kt = self._kernel(self._x, contexts)          # (n, K)
         half = solve_triangular(self._chol, kt, lower=True, check_finite=False)
-        return kt.T @ self._coef, 1.0 - np.sum(half * half, axis=0)  # RBF diagonal is 1
+        return half.T @ self._z, 1.0 - np.sum(half * half, axis=0)  # RBF diagonal is 1
 
     def log_det_ratio(self) -> float:
         """log det(I + K/lam) over the buffered contexts."""
@@ -369,9 +374,7 @@ class KernelUCB(_Policy):
         grown[n, n] = corner
         self._chol = grown
         self._x = np.vstack([self._x, x])
-        self._y.append(reward)
-        z = solve_triangular(self._chol, np.asarray(self._y), lower=True, check_finite=False)
-        self._coef = solve_triangular(self._chol.T, z, lower=False, check_finite=False)
+        self._z = np.append(self._z, (reward - float(row @ self._z)) / corner)
 
 
 class UniformRandomPolicy(_Policy):

@@ -162,6 +162,20 @@ class TestRun:
         config = write_config(tmp_path)
         assert main(["run", "--config", str(config), "--frobnicate"]) == 1
 
+    # the far ends of the float range: a square that underflows to 0, a power of
+    # lam that overflows, and a square that overflows to inf, which is allowed
+    @pytest.mark.parametrize("policy,code,message", [
+        ({"algorithm": "kernel_ucb", "kernel_bandwidth": 1e-200}, 1,
+         "policy.kernel_bandwidth: must have a nonzero square"),
+        ({"algorithm": "neural_ucb", "width": 4, "gamma": None, "lam": 1e-190}, 1,
+         "policy.lam: must be large enough"),
+        ({"algorithm": "kernel_ucb", "kernel_bandwidth": 1e200}, 0, ""),
+    ])
+    def test_extreme_float_settings_exit_codes(self, tmp_path, capsys, policy, code, message):
+        config = write_config(tmp_path, policy=policy, repetitions=1)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == code
+        assert message in capsys.readouterr().err
+
 
 class TestGrid:
     def test_grid_smoke(self, tmp_path, capsys):
@@ -214,6 +228,21 @@ class TestGrid:
         grid = tmp_path / "grid.json"
         grid.write_text("not json", encoding="utf-8")
         assert main(["grid", "--config", str(config), "--grid", str(grid)]) == 1
+
+    def test_grid_holding_a_list_exits_one(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"policy.gamma": [0.1]}]), encoding="utf-8")
+        assert main(["grid", "--config", str(config), "--grid", str(grid)]) == 1
+        assert "--grid: must be a JSON object" in capsys.readouterr().err
+
+    def test_every_combination_diverging_exits_two(self, tmp_path, capsys):
+        config = write_config(tmp_path, repetitions=1)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"policy.eta": [50.0, 60.0]}), encoding="utf-8")
+        assert main(["grid", "--config", str(config), "--grid", str(grid)]) == 2
+        err = capsys.readouterr().err
+        assert "training loss is non-finite" in err and "eta=50.0" in err
 
 
 class TestNtk:

@@ -257,6 +257,12 @@ class TestNeuralWidth:
         with pytest.raises(ValueError, match=r"^eta\*width\*lam = .* step size"):
             neural_width(eta=0.05)
 
+    def test_lam_whose_fixed_powers_overflow_rejected(self):
+        # 1e-190 ** (-5/3) overflows; the width at t = 0 would raise OverflowError
+        with pytest.raises(ValueError, match=r"^lam must be large enough that lam\^\(-5/3\) is "
+                                             r"finite, got 1e-190$"):
+            neural_width(lam=1e-190)
+
 
 class TestWidthProviders:
     def test_constant_width_holds_across_rounds(self):

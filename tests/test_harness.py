@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from neuralbandit import harness
+from neuralbandit import harness, policies
 from neuralbandit.confidence import NeuralWidth, RidgeWidth
 from neuralbandit.network import NetworkShape
 from neuralbandit.harness import (
@@ -237,6 +237,8 @@ class TestValidation:
         pytest.param({"policy": PolicyConfig(cadence=0)}, "cadence", "cadence", id="cadence"),
         pytest.param({"policy": PolicyConfig(algorithm="kernel_ucb", kernel_cap=0)},
                      "kernel_cap", "cap", id="kernel-cap"),
+        pytest.param({"policy": PolicyConfig(algorithm="kernel_ucb", kernel_bandwidth=1e-200)},
+                     "kernel_bandwidth", "bandwidth", id="kernel-bandwidth-square-underflows"),
         pytest.param({"policy": PolicyConfig(design_mode="sparse")}, "design_mode", "mode",
                      id="design-mode"),
         pytest.param({"repetitions": 0}, "repetitions", "repetitions", id="repetitions"),
@@ -318,6 +320,8 @@ class TestValidation:
         pytest.param({"eta": math.nan}, "policy.eta", "must be finite", id="policy-nan-eta"),
         pytest.param({"j_steps": -1}, "policy.j_steps", "must be >= 0", id="policy-j-steps"),
         pytest.param({"eta": 1.0}, "policy.eta", "eta*width*lam", id="policy-step-too-large"),
+        pytest.param({"lam": 1e-190}, "policy.lam", "lam^(-5/3) is finite",
+                     id="policy-lam-powers-overflow"),
     ])
     def test_theoretical_width_error_names_the_policy_field(self, policy_fields,
                                                            field_name, message):
@@ -475,6 +479,22 @@ class TestGridSearch:
                                         "environment.shuffle": [True, False]})
         assert [e.error for e in table] == [None] * 4
         assert len(reads) == 1
+
+    def test_top_level_paths_set_the_seed_and_the_repetitions(self):
+        config = linear_linucb_config(horizon=10, reps=1)
+        _, table = grid_search(config, {"base_seed": [3, 4], "repetitions": [1, 2]})
+        assert [e.overrides for e in table] == [
+            {"base_seed": seed, "repetitions": reps} for seed in (3, 4) for reps in (1, 2)]
+        for entry in table:
+            cfg = dataclasses.replace(config, **entry.overrides)
+            finals = [run_single(cfg, rep).final_regret for rep in range(cfg.repetitions)]
+            assert entry.mean_final_regret == np.mean(finals)
+        assert table[0].mean_final_regret != table[2].mean_final_regret
+
+    def test_every_combination_diverging_raises_the_first_divergence(self):
+        config = dataclasses.replace(tiny_neural_config(), repetitions=1)
+        with pytest.raises(policies.DivergenceError, match=r"\(eta=50\.0\)$"):
+            grid_search(config, {"policy.eta": [50.0, 60.0]})
 
     def test_nested_environment_override(self):
         config = linear_linucb_config(horizon=10, reps=1)

@@ -651,6 +651,29 @@ class TestKernelUCB:
             assert seen[-1] == (policy.t, policy.log_det_ratio())
         assert seen[0] == (0, 0.0) and len(seen) == 4
 
+    def test_huge_bandwidth_is_the_constant_kernel_limit(self):
+        # 1e200 squared overflows to inf, so it plays exactly as an infinite bandwidth
+        huge = KernelUCB(1e200, ConstantWidth(1.0))
+        infinite = KernelUCB(np.inf, ConstantWidth(1.0))
+        rng = np.random.default_rng(104)
+        for _ in range(3):
+            contexts = rng.standard_normal((4, 3))
+            (action, scores), (expected_action, expected) = \
+                huge.select(contexts), infinite.select(contexts)
+            assert action == expected_action and np.array_equal(scores, expected)
+            huge.update(contexts[action], 1.0)
+            infinite.update(contexts[action], 1.0)
+
+    def test_bandwidth_whose_square_underflows_rejected(self):
+        with pytest.raises(ValueError, match=r"^bandwidth must have a nonzero square, got 1e-200$"):
+            KernelUCB(1e-200, ConstantWidth(1.0))
+        # a square that is still positive keeps a context's kernel with itself finite
+        policy = KernelUCB(1e-160, ConstantWidth(1.0))
+        x = np.array([0.3, 0.4])
+        policy.update(x, 1.0)
+        _, scores = policy.select(np.stack([x, -x]))
+        assert np.isfinite(scores).all()
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError, match="bandwidth"):
             KernelUCB(0.0, ConstantWidth(1.0))
