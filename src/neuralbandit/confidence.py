@@ -8,18 +8,19 @@ bound floating-point drift.  It stores Z and its inverse as Fortran-ordered
 p x p arrays of which only the upper triangles are kept current: BLAS dsyr
 applies each rank-one update to them in place, dsymv computes products with
 the inverse, and LAPACK dpotrf/dpotri recompute the inverse at a refresh.
-Diagonal mode keeps only the p diagonal entries (the large-width
-approximation used for wide networks); its "log-det" is the sum of
-per-coordinate log ratios.
+These scipy routines are imported at a full design's first use, not with
+this module.  Diagonal mode keeps only the p diagonal entries (the
+large-width approximation used for wide networks); its "log-det" is the sum
+of per-coordinate log ratios.  It needs numpy alone, so it never loads
+scipy.linalg, whose import is most of the package's start-up time.
 """
 
 import functools
 import math
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg.blas import dsymv, dsyr
-from scipy.linalg.lapack import dpotrf, dpotri
 
 from neuralbandit.network import (NetworkShape, check_array, check_integer, check_positive,
                                   check_real)
@@ -43,7 +44,9 @@ class DesignMatrix:
     Full mode keeps only the upper triangles of Z and Z^{-1} current, in
     Fortran-ordered arrays that BLAS updates in place (the lower triangles
     hold stale values after a refresh).  Every read goes through dsymv or
-    through `matrix`/`inverse`, which return fresh symmetric copies.
+    through `matrix`/`inverse`, which return fresh symmetric copies.  The
+    BLAS and LAPACK routines load with those arrays, at full mode's first
+    use, and are looked up once per design; diagonal mode never loads them.
     """
 
     def __init__(self, dim: int, lam: float, mode: str = "full",
@@ -63,8 +66,9 @@ class DesignMatrix:
         else:
             self._diag = np.full(dim, lam)
 
-    # Full mode's p x p arrays are made on first use: validation builds a
-    # policy only to run its constructor checks and never touches them.
+    # Full mode's p x p arrays and scipy's routines are made and loaded on
+    # first use: validation builds a policy only to run its constructor checks
+    # and never touches them.
     @functools.cached_property
     def _z(self) -> np.ndarray:
         return _scaled_identity(self.dim, self.lam)
@@ -73,6 +77,12 @@ class DesignMatrix:
     def _z_inv(self) -> np.ndarray:
         return _scaled_identity(self.dim, 1.0 / self.lam)
 
+    @functools.cached_property
+    def _blas(self) -> SimpleNamespace:
+        from scipy.linalg.blas import dsymv, dsyr
+        from scipy.linalg.lapack import dpotrf, dpotri
+        return SimpleNamespace(dsymv=dsymv, dsyr=dsyr, dpotrf=dpotrf, dpotri=dpotri)
+
     def rank_one_update(self, u) -> None:
         """Z += u u^T (full) or Z_kk += u_k^2 (diagonal)."""
         u = check_array("u", u, 1, self.dim)
@@ -80,11 +90,15 @@ class DesignMatrix:
             self._diag += u * u
             self._updates += 1
             return
-        zu = dsymv(1.0, self._z_inv, u)
+        blas = self._blas
+        zu = blas.dsymv(1.0, self._z_inv, u)
         denom = 1.0 + float(u @ zu)
+        if not 0.0 < denom < math.inf:  # checked before Z and Z^{-1} change
+            raise np.linalg.LinAlgError(f"rank-one update {self._updates + 1} at lam = {self.lam}: "
+                                        f"1 + u^T Z^-1 u = {denom} is not finite and positive")
         # the arrays are F-contiguous, so overwrite_a updates them in place
-        self._z = dsyr(1.0, u, a=self._z, overwrite_a=1)
-        self._z_inv = dsyr(-1.0 / denom, zu, a=self._z_inv, overwrite_a=1)
+        self._z = blas.dsyr(1.0, u, a=self._z, overwrite_a=1)
+        self._z_inv = blas.dsyr(-1.0 / denom, zu, a=self._z_inv, overwrite_a=1)
         self._logdet += math.log(denom)
         self._updates += 1
         if self._updates % self.refresh_every == 0:
@@ -94,12 +108,12 @@ class DesignMatrix:
         """Recompute the inverse and log-det from a direct Cholesky factorization."""
         if self.mode == "diagonal":
             return
-        chol, info = dpotrf(self._z, lower=0)
+        chol, info = self._blas.dpotrf(self._z, lower=0)
         if info != 0:
             raise np.linalg.LinAlgError("Matrix is not positive definite")
         # read the log-det before dpotri overwrites the factor
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        self._z_inv, info = dpotri(chol, lower=0, overwrite_c=1)
+        self._z_inv, info = self._blas.dpotri(chol, lower=0, overwrite_c=1)
         if info != 0:
             raise np.linalg.LinAlgError("Matrix is singular")
         self._logdet = logdet - self.dim * math.log(self.lam)
@@ -109,14 +123,14 @@ class DesignMatrix:
         v = check_array("v", v, 1, self.dim)
         if self.mode == "diagonal":
             return float(np.sum(v * v / self._diag))
-        return float(v @ dsymv(1.0, self._z_inv, v))
+        return float(v @ self._blas.dsymv(1.0, self._z_inv, v))
 
     def solve(self, rhs) -> np.ndarray:
         """Z^{-1} rhs using the maintained inverse (or the diagonal)."""
         rhs = check_array("rhs", rhs, 1, self.dim)
         if self.mode == "diagonal":
             return rhs / self._diag
-        return dsymv(1.0, self._z_inv, rhs)
+        return self._blas.dsymv(1.0, self._z_inv, rhs)
 
     def log_det_ratio(self) -> float:
         """log(det Z / det lam*I); zero for a fresh matrix, nondecreasing."""
@@ -200,7 +214,8 @@ class NeuralWidth:
     other constants gave identical regret.  Every input has been checked by
     the ridge width, the network shape or the training config; the checks
     here are eta * m * lam < 1, which the decay term needs, and that
-    lam^(-5/3), the largest of the fixed powers of lam, is finite.
+    lam^(-5/3), the largest of the fixed powers of lam, is finite.  A call
+    whose width is not finite raises ValueError naming lam.
     """
 
     def __init__(self, ridge: RidgeWidth, shape: NetworkShape, train: "TrainingConfig"):
@@ -227,8 +242,16 @@ class NeuralWidth:
         lam, m, L = self.ridge.lam, self.shape.width, self.shape.depth
         j = t if self.train.j_steps is None else self.train.j_steps
         mfac = m ** (-1.0 / 6.0) * math.sqrt(math.log(m))
-        front = math.sqrt(1.0 + mfac * L**4 * t ** (7.0 / 6.0) * lam ** (-7.0 / 6.0))
-        shift = mfac * L**4 * t ** (5.0 / 3.0) * lam ** (-1.0 / 6.0)
-        decay = (1.0 - self.train.eta * m * lam) ** (j / 2.0) * math.sqrt(t / lam)
-        approx = mfac * L ** 3.5 * t ** (5.0 / 3.0) * lam ** (-5.0 / 3.0) * (1.0 + math.sqrt(t / lam))
-        return front * self.ridge(t, logdet + shift) + (lam + t * L) * (decay + approx)
+        try:
+            front = math.sqrt(1.0 + mfac * L**4 * t ** (7.0 / 6.0) * lam ** (-7.0 / 6.0))
+            shift = mfac * L**4 * t ** (5.0 / 3.0) * lam ** (-1.0 / 6.0)
+            decay = (1.0 - self.train.eta * m * lam) ** (j / 2.0) * math.sqrt(t / lam)
+            approx = mfac * L ** 3.5 * t ** (5.0 / 3.0) * lam ** (-5.0 / 3.0) \
+                * (1.0 + math.sqrt(t / lam))
+            gamma = front * self.ridge(t, logdet + shift) + (lam + t * L) * (decay + approx)
+        except OverflowError:  # a round t beyond the float range
+            gamma = math.inf
+        if not math.isfinite(gamma):
+            raise ValueError(f"lam must be large enough that the width is finite at t = {t}, "
+                             f"got {lam} (width {gamma})")
+        return gamma

@@ -265,7 +265,9 @@ def _checked(config: ExperimentConfig, datasets=None) -> tuple:
         except (TypeError, ValueError) as exc:
             errors.append(_field_error("environment", exc, _ENVIRONMENT_FIELDS,
                                        {"d": "dimension"}))
-    errors += _policy_errors(config.policy, built)
+    # a horizon with its own error stands in as round 1 for the policy's checks
+    horizon = 1 if any(e.startswith("environment.horizon:") for e in errors) else env.horizon
+    errors += _policy_errors(config.policy, built, horizon)
     errors += _rule_errors(None, config, [
         (check_integer, "repetitions", 1), (check_integer, "base_seed", 0)])
     return dataset, errors
@@ -314,7 +316,7 @@ def _rule_errors(section, config, rules) -> list:
     return errors
 
 
-def _policy_errors(policy: PolicyConfig, environment) -> list:
+def _policy_errors(policy: PolicyConfig, environment, horizon: int) -> list:
     """What the constructors of the policy a run would build on environment reject."""
     if policy.algorithm not in ALGORITHMS:
         return [f"policy.algorithm: unknown algorithm {policy.algorithm!r}, choose from {ALGORITHMS}"]
@@ -328,7 +330,11 @@ def _policy_errors(policy: PolicyConfig, environment) -> list:
     if errors:
         return errors
     try:
-        _build_policy(policy, environment, np.random.default_rng(0))
+        built = _build_policy(policy, environment, np.random.default_rng(0))
+        # every term of a width that grows is nondecreasing in the round, so
+        # the horizon, at a zero log-det, stands for every earlier round
+        if built.width_provider is not None:
+            built.width_provider(horizon, 0.0)
     except (TypeError, ValueError) as exc:
         return [_field_error("policy", exc, _POLICY_FIELDS, _RENAMED_FIELDS)]
     return []

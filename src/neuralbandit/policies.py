@@ -17,11 +17,11 @@ flows through the generator handed in at construction, so a fixed seed gives
 a bit-identical action sequence.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from neuralbandit.confidence import DesignMatrix
 from neuralbandit.network import (
@@ -323,6 +323,8 @@ class KernelUCB(_Policy):
     columns are built only from contexts and rewards that _Policy has checked
     to be finite, kernel values lie in [0, 1], and L's diagonal is kept at
     least sqrt(lam * 1e-12), so the scan would only repeat those checks.
+    scipy's solve_triangular is imported at the first solve, in the first
+    update, so building a KernelUCB to validate a config does not load it.
     """
 
     def __init__(self, bandwidth: float, width, lam: float = 1.0, cap: int = 1000):
@@ -341,6 +343,11 @@ class KernelUCB(_Policy):
         self._chol = np.zeros((0, 0))  # lower Cholesky of K + lam I
         self._z = np.zeros(0)          # L^{-1} y
 
+    @functools.cached_property
+    def _solve_triangular(self):
+        from scipy.linalg import solve_triangular
+        return solve_triangular
+
     def _kernel(self, a, b) -> np.ndarray:
         sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] \
             - 2.0 * (a @ b.T)
@@ -351,7 +358,7 @@ class KernelUCB(_Policy):
         if self._x is None:
             return np.zeros(contexts.shape[0]), np.ones(contexts.shape[0])
         kt = self._kernel(self._x, contexts)          # (n, K)
-        half = solve_triangular(self._chol, kt, lower=True, check_finite=False)
+        half = self._solve_triangular(self._chol, kt, lower=True, check_finite=False)
         return half.T @ self._z, 1.0 - np.sum(half * half, axis=0)  # RBF diagonal is 1
 
     def log_det_ratio(self) -> float:
@@ -365,7 +372,7 @@ class KernelUCB(_Policy):
         elif self._x.shape[0] >= self.cap:
             return
         k = self._kernel(self._x, x)[:, 0]
-        row = solve_triangular(self._chol, k, lower=True, check_finite=False)
+        row = self._solve_triangular(self._chol, k, lower=True, check_finite=False)
         corner = math.sqrt(max(1.0 + self.lam - float(row @ row), self.lam * 1e-12))
         n = self._chol.shape[0]
         grown = np.zeros((n + 1, n + 1))

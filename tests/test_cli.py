@@ -169,6 +169,8 @@ class TestRun:
          "policy.kernel_bandwidth: must have a nonzero square"),
         ({"algorithm": "neural_ucb", "width": 4, "gamma": None, "lam": 1e-190}, 1,
          "policy.lam: must be large enough"),
+        ({"algorithm": "neural_ucb", "width": 4, "gamma": None, "lam": 1e-150,
+          "design_mode": "diagonal"}, 1, "policy.lam: must be large enough that the width"),
         ({"algorithm": "kernel_ucb", "kernel_bandwidth": 1e200}, 0, ""),
     ])
     def test_extreme_float_settings_exit_codes(self, tmp_path, capsys, policy, code, message):

@@ -182,6 +182,23 @@ class TestInvariants:
         full.inverse[:] = 1.0
         assert full.quadratic_form(v) == before
 
+    def test_update_that_would_break_the_inverse_changes_nothing(self):
+        # from I/lam = 1e20 I the maintained inverse loses its accuracy within a
+        # few updates, and 1 + u^T Z^-1 u comes out negative
+        rng = np.random.default_rng(0)
+        d = DesignMatrix(4, 1e-20)
+        for count in range(1, 100):
+            before = d.matrix, d.inverse, d.log_det_ratio()
+            try:
+                d.rank_one_update(rng.standard_normal(4))
+            except np.linalg.LinAlgError as exc:
+                assert str(exc).startswith(f"rank-one update {count} at lam = 1e-20: ")
+                break
+        else:
+            pytest.fail("no update failed")
+        assert np.array_equal(d.matrix, before[0]) and np.array_equal(d.inverse, before[1])
+        assert d.log_det_ratio() == before[2]
+
     def test_refresh_bounds_drift_over_long_streams(self):
         rng = np.random.default_rng(43)
         d = DesignMatrix(30, 1.0, refresh_every=64)
@@ -256,6 +273,14 @@ class TestNeuralWidth:
     def test_oversized_step_rejected(self):
         with pytest.raises(ValueError, match=r"^eta\*width\*lam = .* step size"):
             neural_width(eta=0.05)
+
+    # at lam = 1e-150, lam^(-5/3) = 1e250 is finite, but the approximation term
+    # overflows from t = 1; a round beyond the float range overflows at any lam
+    @pytest.mark.parametrize("lam,t", [(1e-150, 1), (1e-150, 30), (1.0, 10**400)])
+    def test_width_that_is_not_finite_names_lam(self, lam, t):
+        with pytest.raises(ValueError, match=rf"^lam must be large enough that the width is "
+                                             rf"finite at t = {t}, got {lam}"):
+            neural_width(lam=lam)(t, 0.0)
 
     def test_lam_whose_fixed_powers_overflow_rejected(self):
         # 1e-190 ** (-5/3) overflows; the width at t = 0 would raise OverflowError

@@ -322,6 +322,8 @@ class TestValidation:
         pytest.param({"eta": 1.0}, "policy.eta", "eta*width*lam", id="policy-step-too-large"),
         pytest.param({"lam": 1e-190}, "policy.lam", "lam^(-5/3) is finite",
                      id="policy-lam-powers-overflow"),
+        pytest.param({"lam": 1e-150}, "policy.lam", "the width is finite at t = 5",
+                     id="policy-width-infinite-by-the-horizon"),
     ])
     def test_theoretical_width_error_names_the_policy_field(self, policy_fields,
                                                            field_name, message):
@@ -333,6 +335,22 @@ class TestValidation:
         errors = config.validate()
         assert len(errors) == 1 and errors[0].startswith(field_name), errors
         assert message in errors[0], errors
+
+    # at lam = 1e-140 the width is finite through round 5 and overflows by round
+    # 2000; a horizon that is not a round count is reported alone
+    @pytest.mark.parametrize("horizon,expected", [
+        (5, []),
+        (2000, ["policy.lam: must be large enough that the width is finite at t = 2000, "
+                "got 1e-140 (width inf)"]),
+        ("2000", ["environment.horizon: must be an integer, got '2000'"]),
+    ])
+    def test_theoretical_width_is_checked_at_the_horizon(self, horizon, expected):
+        config = ExperimentConfig(
+            environment=EnvironmentConfig(kind="h1", dimension=4, horizon=horizon),
+            policy=PolicyConfig(algorithm="neural_ucb", gamma=None, lam=1e-140),
+            repetitions=1,
+        )
+        assert config.validate() == expected
 
     @pytest.mark.parametrize("fields", [
         pytest.param({}, id="defaults"),
