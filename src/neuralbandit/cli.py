@@ -70,7 +70,7 @@ def _load_json(path: str, what: str) -> dict:
     try:
         with open(p, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise ConfigError([f"{what}: invalid JSON in {path!r}: {exc}"]) from None
 
 

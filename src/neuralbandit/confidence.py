@@ -12,7 +12,9 @@ These scipy routines are imported at a full design's first use, not with
 this module.  Diagonal mode keeps only the p diagonal entries (the
 large-width approximation used for wide networks); its "log-det" is the sum
 of per-coordinate log ratios.  It needs numpy alone, so it never loads
-scipy.linalg, whose import is most of the package's start-up time.
+scipy.linalg, whose import is most of the package's start-up time.  The
+widths are schedules (t, logdet) -> gamma for a policy's width; a constant
+width is a plain number, and only a schedule makes a policy read the log-det.
 """
 
 import functools
@@ -30,7 +32,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DesignMatrix",
-    "ConstantWidth",
     "RidgeWidth",
     "NeuralWidth",
 ]
@@ -163,17 +164,6 @@ def _scaled_identity(dim: int, value: float) -> np.ndarray:
 def _symmetric_copy(upper: np.ndarray) -> np.ndarray:
     """The symmetric matrix whose upper triangle is that of `upper`."""
     return np.triu(upper) + np.triu(upper, 1).T
-
-
-class ConstantWidth:
-    """Fixed exploration width gamma_t = gamma for every round."""
-
-    def __init__(self, gamma: float):
-        check_real("gamma", gamma, low=0)
-        self.gamma = gamma
-
-    def __call__(self, t: int, logdet: float) -> float:
-        return self.gamma
 
 
 class RidgeWidth:

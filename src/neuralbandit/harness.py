@@ -10,6 +10,7 @@ Validation builds the configured environment and policy through the same
 constructors a run uses, so their checks are the only copy of those rules.
 """
 
+import csv
 import dataclasses
 import itertools
 import json
@@ -23,8 +24,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from neuralbandit import environments, policies
-from neuralbandit.confidence import ConstantWidth, NeuralWidth, RidgeWidth
-from neuralbandit.network import NetworkShape, check_flag, check_integer, check_string
+from neuralbandit.confidence import NeuralWidth, RidgeWidth
+from neuralbandit.network import NetworkShape, check_flag, check_integer, check_real, check_string
 
 __all__ = [
     "EnvironmentConfig",
@@ -198,18 +199,19 @@ def _build_policy(cfg: PolicyConfig, env, rng):
     dim = 2 * env.d if cfg.resolved_preprocess() else env.d
     if algo == "random":
         return policies.UniformRandomPolicy(rng)
+    if algo in ("lin_ucb", "kernel_ucb"):
+        check_real("gamma", cfg.gamma, low=0)  # a null width would leave them greedy
     if algo == "lin_ucb":
-        return policies.NeuralUCB0(lambda x: x, dim, cfg.lam, ConstantWidth(cfg.gamma))
+        return policies.NeuralUCB0(lambda x: x, dim, cfg.lam, cfg.gamma)
     if algo == "kernel_ucb":
-        return policies.KernelUCB(cfg.kernel_bandwidth, ConstantWidth(cfg.gamma),
-                                  lam=cfg.lam, cap=cfg.kernel_cap)
+        return policies.KernelUCB(cfg.kernel_bandwidth, cfg.gamma, lam=cfg.lam,
+                                  cap=cfg.kernel_cap)
     shape = NetworkShape(input_dim=dim, width=cfg.width, depth=cfg.depth)
     if algo == "neural_ucb":
         train = _training_config(cfg)
-        if cfg.gamma is None:
+        width = cfg.gamma
+        if width is None:
             width = NeuralWidth(RidgeWidth(cfg.nu, cfg.delta, cfg.s_norm, cfg.lam), shape, train)
-        else:
-            width = ConstantWidth(cfg.gamma)
         return policies.NeuralUCB(shape, cfg.lam, width, rng, train=train,
                                   design_mode=cfg.design_mode)
     if algo == "neural_greedy":
@@ -331,10 +333,10 @@ def _policy_errors(policy: PolicyConfig, environment, horizon: int) -> list:
         return errors
     try:
         built = _build_policy(policy, environment, np.random.default_rng(0))
-        # every term of a width that grows is nondecreasing in the round, so
-        # the horizon, at a zero log-det, stands for every earlier round
-        if built.width_provider is not None:
-            built.width_provider(horizon, 0.0)
+        # every term of a schedule is nondecreasing in the round, so the
+        # horizon, at a zero log-det, stands for every earlier round
+        if built.schedule is not None:
+            built.schedule(horizon, 0.0)
     except (TypeError, ValueError) as exc:
         return [_field_error("policy", exc, _POLICY_FIELDS, _RENAMED_FIELDS)]
     return []
@@ -417,9 +419,9 @@ def grid_search(config: ExperimentConfig, grid: dict):
     its overrides; a dataset read by validation is kept for the runs.  Best
     is the combination with the lowest mean final cumulative regret; ties go
     to the earliest combination in declared order.
-    A combination whose training diverges is kept in the table with nan
-    statistics and does not stop the others; if every one diverges, the
-    first divergence is raised.
+    A combination whose training diverges, or whose design breaks with a
+    LinAlgError, is kept in the table with nan statistics and does not stop
+    the others; if every one fails, the first error is raised.
     """
     if not grid:
         raise ConfigError(["grid: must contain at least one parameter"])
@@ -452,7 +454,7 @@ def grid_search(config: ExperimentConfig, grid: dict):
             finals = np.array([run_single(cfg, rep, dataset=dataset).final_regret
                                for rep in range(cfg.repetitions)])
             entry = GridEntry(overrides, float(finals.mean()), float(finals.std()))
-        except policies.DivergenceError as exc:
+        except (policies.DivergenceError, np.linalg.LinAlgError) as exc:
             first_error = first_error or exc
             entry = GridEntry(overrides, math.nan, math.nan, error=str(exc))
         table.append(entry)
@@ -514,13 +516,13 @@ def emit_grid_table(table: list, best_config: ExperimentConfig, out_dir) -> list
     out.mkdir(parents=True, exist_ok=True)
     paths = list(table[0].overrides) if table else []
     table_path = out / "grid_table.csv"
-    with open(table_path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(paths + ["mean_final_regret", "std_final_regret", "status"]) + "\n")
+    with open(table_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(paths + ["mean_final_regret", "std_final_regret", "status"])
         for entry in table:
-            cells = [str(entry.overrides[p]) for p in paths]
-            cells += [_fmt(entry.mean_final_regret), _fmt(entry.std_final_regret),
-                      "ok" if entry.error is None else "diverged"]
-            fh.write(",".join(cells) + "\n")
+            status = "ok" if entry.error is None else "diverged"
+            writer.writerow([str(entry.overrides[p]) for p in paths] + [
+                _fmt(entry.mean_final_regret), _fmt(entry.std_final_regret), status])
     best_path = out / "best_config.json"
     with open(best_path, "w", newline="\n", encoding="utf-8") as fh:
         json.dump(best_config.to_dict(), fh, indent=2, sort_keys=True)

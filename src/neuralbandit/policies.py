@@ -3,10 +3,12 @@
 The UCB policies are learners that share one select: NeuralUCB retrains a
 reward network online, NeuralUCB0 runs ridge regression on frozen features
 (LinUCB on the identity map), and KernelUCB runs kernel ridge regression.
-Each scores an arm by its predicted mean, plus a width times the root of the
-arm's posterior variance when given a width, and with probability epsilon
-plays a uniform arm instead.  Every policy, the baseline too, shares one
-update, which checks the chosen context and reward and counts the round.
+Each scores an arm by its predicted mean, plus a width gamma times the root
+of the arm's posterior variance, and with probability epsilon plays a
+uniform arm instead.  The width is None for none, a number, or a schedule
+(t, logdet) -> gamma, and only a schedule reads the learner's log-det.
+Every policy, the baseline too, shares one update, which checks the chosen
+context and reward and counts the round.
 Every policy exposes
 
     select(contexts) -> (action, scores)   # contexts: (K, d) array
@@ -170,31 +172,35 @@ class _Policy:
     """The round every policy plays: the UCB choice rule, and one checked update.
 
     An arm scores its predicted mean, plus gamma * sqrt(v) over the learner's
-    squared width v of that arm when a width provider is given; gamma is the
-    provider's value at the current round t and the learner's log-det ratio.
-    With probability epsilon the policy plays a uniform arm instead, and
-    epsilon = 0 draws nothing from rng.  update counts the round in t and
-    hands _learn the chosen context, checked, as a (1, d) float array and the
-    reward as a float.  A learner supplies _predict (means, and squared widths
-    when a width is given), _learn and log_det_ratio.
+    squared width v of that arm when a width is given: a number gamma >= 0,
+    or a schedule (t, logdet) -> gamma, kept in `schedule`, evaluated at
+    (0, 0.0) here and after each update at the round t and the learner's
+    log-det ratio.  Only a schedule reads the log-det.  With probability
+    epsilon the policy plays a uniform arm instead, and epsilon = 0 draws
+    nothing from rng.  update counts the round in t and hands _learn the
+    chosen context, checked, as a (1, d) float array and the reward as a
+    float.  A learner supplies _predict (means, and squared widths when a
+    width is given), _learn and, for a schedule, log_det_ratio.
     """
 
     def __init__(self, width, epsilon, rng):
+        self.schedule = width if callable(width) else None
+        if width is not None and self.schedule is None:
+            check_real("gamma", width, low=0)
         check_real("epsilon", epsilon)
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
         if epsilon > 0.0 and rng is None:
             raise ValueError("rng is required when epsilon > 0")
-        self.width_provider = width
         self.epsilon = epsilon
         self.rng = rng
-        self.gamma = None if width is None else width(0, 0.0)
+        self.gamma = width if self.schedule is None else self.schedule(0, 0.0)
         self.t = 0
 
     def select(self, contexts):
         means, squared_widths = self._predict(_check_contexts(contexts))
         scores = means
-        if self.width_provider is not None:
+        if self.gamma is not None:
             scores = means + self.gamma * np.sqrt(np.maximum(squared_widths, 0.0))
         if self.epsilon > 0.0 and self.rng.random() < self.epsilon:
             return int(self.rng.integers(scores.shape[0])), scores
@@ -207,8 +213,8 @@ class _Policy:
         check_real("reward", reward)
         self.t += 1
         self._learn(row, float(reward))
-        if self.width_provider is not None:
-            self.gamma = self.width_provider(self.t, self.log_det_ratio())
+        if self.schedule is not None:
+            self.gamma = self.schedule(self.t, self.log_det_ratio())
 
     def log_det_ratio(self) -> float:
         """log(det Z / det lam*I) of the design Z over the features of the chosen arms."""
@@ -285,8 +291,8 @@ class NeuralUCB0(_Policy):
     Means are phi^T (theta - theta0), with the closed-form ridge estimate, and
     the features are phi itself, so the UCB score is the maximum of the linear
     objective over the confidence ellipsoid.  With gradient_feature_map this is
-    the linearized NeuralUCB; with the identity map and a constant width it is
-    LinUCB; with no width and epsilon > 0 it is epsilon-greedy on the ridge
+    the linearized NeuralUCB; with the identity map and a number for the width it
+    is LinUCB; with no width and epsilon > 0 it is epsilon-greedy on the ridge
     predictions.
     """
 
@@ -300,7 +306,7 @@ class NeuralUCB0(_Policy):
 
     def _predict(self, contexts):
         phi = self.feature_map(contexts)
-        widths = None if self.width_provider is None else _quadratic_forms(self.design, phi)
+        widths = None if self.gamma is None else _quadratic_forms(self.design, phi)
         return phi @ self.theta_offset, widths
 
     def _learn(self, row, reward) -> None:

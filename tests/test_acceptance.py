@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from neuralbandit.cli import main as cli_main
-from neuralbandit.confidence import ConstantWidth, DesignMatrix, RidgeWidth
+from neuralbandit.confidence import DesignMatrix, RidgeWidth
 from neuralbandit.environments import preprocess_batch
 from neuralbandit.harness import (
     EnvironmentConfig,
@@ -236,7 +236,7 @@ def test_criterion_06_frozen_feature_ridge_equivalence():
         # each round, action for action
         d, k, alpha, lam = 6, 5, 0.8, 1.3
         ident = lambda x: np.asarray(x, dtype=np.float64)
-        frozen = NeuralUCB0(ident, d, lam, ConstantWidth(alpha))
+        frozen = NeuralUCB0(ident, d, lam, alpha)
         sim_rng = np.random.default_rng(1008)
         secret = sim_rng.standard_normal(d)
         seen, sim_rewards = np.zeros((0, d)), []

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: subcommands, exit codes, file output."""
 
+import csv
 import json
 import math
 
@@ -207,6 +208,49 @@ class TestGrid:
         printed = capsys.readouterr().out
         assert "diverged: training loss is non-finite" in printed
 
+    # at lam = 1e-20 the full design's Sherman-Morrison update breaks in round 19
+    DESIGN_BREAKS = dict(
+        environment={"kind": "h1", "dimension": 4, "num_actions": 4, "horizon": 300},
+        policy={"algorithm": "neural_ucb", "width": 4, "gamma": 1.0, "design_mode": "full",
+                "preprocess": False},
+        repetitions=1)
+
+    def test_combination_whose_design_breaks_is_reported_and_skipped(self, tmp_path, capsys):
+        config = write_config(tmp_path, **self.DESIGN_BREAKS)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"policy.lam": [1e-20, 1e-12]}), encoding="utf-8")
+        out = tmp_path / "grid_out"
+        assert main(["grid", "--config", str(config), "--grid", str(grid),
+                     "--out", str(out)]) == 0
+        header, *rows = (out / "grid_table.csv").read_text().strip().splitlines()
+        assert header == "policy.lam,mean_final_regret,std_final_regret,status"
+        assert len(rows) == 2
+        assert rows[0] == "1e-20,nan,nan,diverged" and rows[1].endswith(",ok")
+        assert json.loads((out / "best_config.json").read_text())["policy"]["lam"] == 1e-12
+        printed = capsys.readouterr().out
+        assert "{'policy.lam': 1e-20}: diverged: rank-one update 19 at lam = 1e-20" in printed
+
+    def test_override_holding_a_comma_stays_one_cell(self, tmp_path):
+        paths = [tmp_path / "plain.csv", tmp_path / "d,a.csv"]
+        for path in paths:
+            path.write_text("a,b,label\n1,2,x\n3,4,y\n5,6,x\n", encoding="utf-8")
+        config = write_config(tmp_path, environment={
+            "kind": "dataset", "dataset_path": str(paths[0]), "label_column": "label",
+            "horizon": 3}, policy={"algorithm": "random"}, repetitions=1)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"environment.dataset_path": [str(p) for p in paths],
+                                    "environment.horizon": [2, 3]}), encoding="utf-8")
+        out = tmp_path / "grid_out"
+        assert main(["grid", "--config", str(config), "--grid", str(grid),
+                     "--out", str(out)]) == 0
+        with open(out / "grid_table.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["environment.dataset_path", "environment.horizon",
+                          "mean_final_regret", "std_final_regret", "status"]
+        assert [len(row) for row in rows] == [5, 5, 5, 5]
+        assert [row[0] for row in rows] == [str(p) for p in paths for _ in range(2)]
+        assert all(row[4] == "ok" for row in rows)
+
     @pytest.mark.parametrize("section", ["environment", "policy"])
     def test_grid_path_naming_a_section_exits_one(self, tmp_path, capsys, section):
         config = write_config(tmp_path)
@@ -231,6 +275,16 @@ class TestGrid:
         grid.write_text("not json", encoding="utf-8")
         assert main(["grid", "--config", str(config), "--grid", str(grid)]) == 1
 
+    @pytest.mark.parametrize("flag", ["--config", "--grid"])
+    def test_json_file_that_is_not_utf8_exits_one(self, tmp_path, capsys, flag):
+        files = {"--config": write_config(tmp_path), "--grid": tmp_path / "grid.json"}
+        files["--grid"].write_text(json.dumps({"policy.gamma": [0.1]}), encoding="utf-8")
+        files[flag].write_bytes(b"\xff\xfe{}")
+        assert main(["grid", "--config", str(files["--config"]),
+                     "--grid", str(files["--grid"])]) == 1
+        err = capsys.readouterr().err
+        assert f"{flag}: invalid JSON in {str(files[flag])!r}: 'utf-8' codec can't decode" in err
+
     def test_grid_holding_a_list_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path)
         grid = tmp_path / "grid.json"
@@ -238,13 +292,21 @@ class TestGrid:
         assert main(["grid", "--config", str(config), "--grid", str(grid)]) == 1
         assert "--grid: must be a JSON object" in capsys.readouterr().err
 
-    def test_every_combination_diverging_exits_two(self, tmp_path, capsys):
-        config = write_config(tmp_path, repetitions=1)
-        grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps({"policy.eta": [50.0, 60.0]}), encoding="utf-8")
-        assert main(["grid", "--config", str(config), "--grid", str(grid)]) == 2
+    # the first combination's error is raised
+    @pytest.mark.parametrize("fields,grid,messages", [
+        pytest.param({"repetitions": 1}, {"policy.eta": [50.0, 60.0]},
+                     ["training loss is non-finite", "eta=50.0"], id="training-diverges"),
+        pytest.param(DESIGN_BREAKS, {"policy.lam": [1e-20, 1e-21]},
+                     ["rank-one update 19 at lam = 1e-20"], id="design-breaks"),
+    ])
+    def test_every_combination_diverging_exits_two(self, tmp_path, capsys, fields, grid,
+                                                   messages):
+        config = write_config(tmp_path, **fields)
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid), encoding="utf-8")
+        assert main(["grid", "--config", str(config), "--grid", str(grid_path)]) == 2
         err = capsys.readouterr().err
-        assert "training loss is non-finite" in err and "eta=50.0" in err
+        assert all(message in err for message in messages), err
 
 
 class TestNtk:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neuralbandit.confidence import ConstantWidth, DesignMatrix, NeuralWidth, RidgeWidth
+from neuralbandit.confidence import DesignMatrix, NeuralWidth, RidgeWidth
 from neuralbandit.network import NetworkShape
 from neuralbandit.policies import TrainingConfig
 
@@ -290,17 +290,6 @@ class TestNeuralWidth:
 
 
 class TestWidthProviders:
-    def test_constant_width_holds_across_rounds(self):
-        width = ConstantWidth(0.1)
-        assert [width(t, float(t)) for t in (0, 1, 100)] == [0.1, 0.1, 0.1]
-
-    def test_zero_width_allowed(self):
-        assert ConstantWidth(0.0)(5, 3.0) == 0.0
-
-    def test_negative_width_rejected(self):
-        with pytest.raises(ValueError):
-            ConstantWidth(-0.1)
-
     def test_ridge_width_value(self):
         ridge = RidgeWidth(nu=2.0, delta=math.exp(-0.5), s_norm=3.0, lam=4.0)
         assert ridge(9, 1.0) == pytest.approx(2.0 * math.sqrt(2.0) + 6.0)

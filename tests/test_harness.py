@@ -208,7 +208,8 @@ REAL_POLICY_FIELDS = ("lam", "gamma", "epsilon", "nu", "delta", "s_norm", "eta",
 NON_FINITE_OR_NON_NUMBER = {"nan": (math.nan, "must be finite"),
                             "inf": (math.inf, "must be finite"),
                             "huge-int": (10**400, "must be finite"),
-                            "string": ("0.5", "must be a real number")}
+                            "string": ("0.5", "must be a real number"),
+                            "none": (None, "must be a real number")}
 
 
 def policy_errors(algorithm, field_name, value):
@@ -284,8 +285,11 @@ class TestValidation:
     @pytest.mark.parametrize("algorithm,field_name,kind", [
         (algorithm, name, kind) for algorithm, names in FIELDS_READ.items() for name in names
         if name in REAL_POLICY_FIELDS for kind in NON_FINITE_OR_NON_NUMBER
-        # an infinite kernel bandwidth is the constant-kernel limit KernelUCB accepts
+        # an infinite kernel bandwidth is the constant-kernel limit KernelUCB accepts,
+        # and a null gamma gives neural_ucb its theoretical width; lin_ucb and
+        # kernel_ucb have none, so a null gamma must not leave them greedy
         if (name, kind) != ("kernel_bandwidth", "inf")
+        and (algorithm, name, kind) != ("neural_ucb", "gamma", "none")
     ])
     def test_non_finite_or_non_number_real_field_is_named(self, algorithm, field_name, kind):
         value, message = NON_FINITE_OR_NON_NUMBER[kind]
@@ -362,9 +366,9 @@ class TestValidation:
         expected = NeuralWidth(RidgeWidth(policy.nu, policy.delta, policy.s_norm, policy.lam),
                                NetworkShape(input_dim=4, width=policy.width, depth=policy.depth),
                                harness._training_config(policy))
-        assert isinstance(built.width_provider, NeuralWidth)
+        assert isinstance(built.schedule, NeuralWidth)
         assert built.gamma == expected(0, 0.0)
-        assert built.width_provider(7, 1.5) == expected(7, 1.5)
+        assert built.schedule(7, 1.5) == expected(7, 1.5)
 
 
 class TestEmitResults:

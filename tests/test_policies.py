@@ -1,13 +1,14 @@
 """Tests for the bandit policies and the network training loop."""
 
 import math
+import re
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from neuralbandit.confidence import ConstantWidth, RidgeWidth
+from neuralbandit.confidence import RidgeWidth
 from neuralbandit.environments import preprocess_batch
 from neuralbandit.harness import PolicyConfig, _build_policy
 from neuralbandit.network import (
@@ -213,8 +214,8 @@ class TestTrainNN:
 class TestNeuralUCB:
     def fresh_policy(self, gamma=0.5, seed=60, **kwargs):
         shape = NetworkShape(8, 8, 2)
-        return NeuralUCB(shape, 1.0, ConstantWidth(gamma),
-                         np.random.default_rng(seed), train=FAST_TRAIN, **kwargs)
+        return NeuralUCB(shape, 1.0, gamma, np.random.default_rng(seed), train=FAST_TRAIN,
+                         **kwargs)
 
     def test_fresh_selection_maximizes_gradient_norm(self):
         policy = self.fresh_policy(gamma=0.7)
@@ -277,8 +278,7 @@ class TestNeuralUCB:
     def test_matches_greedy_when_exploration_is_off(self):
         shape = NetworkShape(8, 8, 2)
         train = TrainingConfig(eta=1e-3, j_steps=10, batch_size=None, cadence=5)
-        ucb = NeuralUCB(shape, 1.0, ConstantWidth(0.0),
-                        np.random.default_rng(67), train=train)
+        ucb = NeuralUCB(shape, 1.0, 0.0, np.random.default_rng(67), train=train)
         greedy = NeuralUCB(shape, 1.0, None, np.random.default_rng(67), train=train)
         stream = np.random.default_rng(68)
         secret = stream.standard_normal(8)
@@ -352,8 +352,7 @@ class TestNeuralEpsilonGreedy:
 class TestNeuralUCB0:
     def test_fresh_scores_scale_with_feature_norm(self):
         shape = NetworkShape(8, 8, 2)
-        policy = NeuralUCB0(*gradient_feature_map(shape, np.random.default_rng(80)), 1.0,
-                            ConstantWidth(0.3))
+        policy = NeuralUCB0(*gradient_feature_map(shape, np.random.default_rng(80)), 1.0, 0.3)
         contexts = duplicated_contexts(4, 4, 81)
         _, scores = policy.select(contexts)
         feats = policy.feature_map(contexts)
@@ -387,7 +386,7 @@ class TestNeuralUCB0:
         p = 10
         ident = lambda x: np.asarray(x, dtype=np.float64)
         gamma = 0.01
-        policy = NeuralUCB0(ident, p, 1.0, ConstantWidth(gamma))
+        policy = NeuralUCB0(ident, p, 1.0, gamma)
         rng = np.random.default_rng(84)
         for _ in range(15):
             contexts = rng.standard_normal((4, p))
@@ -462,11 +461,11 @@ class TestChoiceRule:
     @staticmethod
     def learners(rng):
         shape = NetworkShape(8, 8, 2)
-        yield NeuralUCB(shape, 1.0, ConstantWidth(0.5), rng, train=FAST_TRAIN)
+        yield NeuralUCB(shape, 1.0, 0.5, rng, train=FAST_TRAIN)
         yield NeuralUCB(shape, 1.0, None, rng, train=FAST_TRAIN)
-        yield NeuralUCB0(*gradient_feature_map(shape, rng), 1.0, ConstantWidth(0.5), rng=rng)
+        yield NeuralUCB0(*gradient_feature_map(shape, rng), 1.0, 0.5, rng=rng)
         yield NeuralUCB0(*gradient_feature_map(shape, rng), 1.0, None, rng=rng)
-        yield KernelUCB(1.0, ConstantWidth(0.5))
+        yield KernelUCB(1.0, 0.5)
 
     def test_zero_epsilon_draws_nothing_from_the_generator(self):
         rng = np.random.default_rng(94)
@@ -498,16 +497,15 @@ class TestChoiceRule:
         feature_map, dim = gradient_feature_map(NetworkShape(8, 8, 2),
                                                 np.random.default_rng(98))
         calls = []
-        policy = NeuralUCB0(lambda x: calls.append(x) or feature_map(x), dim, 1.0,
-                            ConstantWidth(0.5))
+        policy = NeuralUCB0(lambda x: calls.append(x) or feature_map(x), dim, 1.0, 0.5)
         policy.select(duplicated_contexts(4, 4, 99))
         assert len(calls) == 1
 
     def test_epsilon_explores_around_the_ucb_scores(self):
         shape = NetworkShape(8, 8, 2)
-        ucb = NeuralUCB(shape, 1.0, ConstantWidth(0.5), np.random.default_rng(100),
+        ucb = NeuralUCB(shape, 1.0, 0.5, np.random.default_rng(100),
                         train=FAST_TRAIN)
-        explorer = NeuralUCB(shape, 1.0, ConstantWidth(0.5), np.random.default_rng(100),
+        explorer = NeuralUCB(shape, 1.0, 0.5, np.random.default_rng(100),
                              train=FAST_TRAIN, epsilon=1.0)
         contexts = duplicated_contexts(4, 4, 101)
         _, ucb_scores = ucb.select(contexts)
@@ -523,9 +521,79 @@ class TestChoiceRule:
             NeuralUCB0(lambda x: x, 3, 1.0, None, epsilon=0.1)
 
 
+class LogDetCountingLinUCB(NeuralUCB0):
+    """LinUCB on raw 4-dimensional contexts that counts its log-det reads."""
+
+    def __init__(self, width):
+        super().__init__(lambda x: x, 4, 1.0, width)
+        self.log_det_reads = 0
+
+    def log_det_ratio(self) -> float:
+        self.log_det_reads += 1
+        return super().log_det_ratio()
+
+
+def play(policy, rounds, seed):
+    """Select and update on standard normal (3, 4) contexts; the width after each round."""
+    rng = np.random.default_rng(seed)
+    gammas = []
+    for _ in range(rounds):
+        contexts = rng.standard_normal((3, 4))
+        action, _ = policy.select(contexts)
+        policy.update(contexts[action], float(rng.standard_normal()))
+        gammas.append(policy.gamma)
+    return gammas
+
+
+class TestWidth:
+    """A width is None, a number gamma >= 0, or a schedule (t, logdet) -> gamma."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    def test_number_holds_across_rounds_and_never_reads_the_log_det(self, gamma):
+        policy = LogDetCountingLinUCB(gamma)
+        assert policy.schedule is None and policy.gamma == gamma
+        assert play(policy, 20, 113) == [gamma] * 20
+        assert policy.log_det_reads == 0
+
+    def test_schedule_reads_the_log_det_once_per_update(self):
+        seen = []
+
+        def schedule(t, logdet):
+            seen.append((t, logdet))
+            return 0.5
+
+        policy = LogDetCountingLinUCB(schedule)
+        assert seen == [(0, 0.0)] and policy.log_det_reads == 0
+        play(policy, 20, 114)
+        assert policy.log_det_reads == 20
+        assert [t for t, _ in seen] == list(range(21))
+        assert seen[-1][1] == policy.design.log_det_ratio() > 0.0
+
+    def test_zero_width_plays_the_predicted_means(self):
+        policy = KernelUCB(1.0, 0.0)
+        assert policy.gamma == 0.0
+        _, scores = policy.select(np.array([[0.1, 0.2], [0.3, 0.4]]))
+        assert np.array_equal(scores, [0.0, 0.0])  # no data: means 0, variance 1
+
+    @pytest.mark.parametrize("learner", [
+        lambda width: NeuralUCB(NetworkShape(4, 4, 2), 1.0, width, np.random.default_rng(115)),
+        lambda width: NeuralUCB0(lambda x: x, 4, 1.0, width),
+        lambda width: KernelUCB(1.0, width),
+    ], ids=["neural_ucb", "neural_ucb0", "kernel_ucb"])
+    @pytest.mark.parametrize("width,error,message", [
+        (-0.1, ValueError, "gamma must be >= 0, got -0.1"),
+        (math.nan, ValueError, "gamma must be finite, got nan"),
+        ("0.5", TypeError, "gamma must be a real number, got '0.5'"),
+        (True, TypeError, "gamma must be a real number, got True"),
+    ], ids=["negative", "nan", "string", "bool"])
+    def test_number_that_is_not_a_width_rejected(self, learner, width, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            learner(width)
+
+
 CONTRACT_POLICIES = {
-    "kernel_ucb": lambda: KernelUCB(1.0, ConstantWidth(1.0)),
-    "neural_ucb": lambda: NeuralUCB(NetworkShape(4, 4, 2), 1.0, ConstantWidth(0.5),
+    "kernel_ucb": lambda: KernelUCB(1.0, 1.0),
+    "neural_ucb": lambda: NeuralUCB(NetworkShape(4, 4, 2), 1.0, 0.5,
                                     np.random.default_rng(110), train=FAST_TRAIN),
     "lin_ucb": lambda: lin_ucb(4, gamma=1.0),
     "random": lambda: UniformRandomPolicy(np.random.default_rng(111)),
@@ -593,19 +661,19 @@ class TestLinUCB:
 
 class TestKernelUCB:
     def test_no_data_width_is_gamma(self):
-        policy = KernelUCB(1.0, ConstantWidth(0.7))
+        policy = KernelUCB(1.0, 0.7)
         _, scores = policy.select(np.array([[0.1, 0.2], [0.3, 0.4]]))
         assert np.array_equal(scores, [0.7, 0.7])
 
     def test_single_observation_by_hand(self):
-        policy = KernelUCB(1.0, ConstantWidth(1.0), lam=1.0)
+        policy = KernelUCB(1.0, 1.0, lam=1.0)
         x = np.array([0.3, 0.4])
         policy.update(x, 1.0)
         _, scores = policy.select(x[None, :])
         assert scores[0] == pytest.approx(0.5 + math.sqrt(0.5), rel=1e-12)
 
     def test_infinite_bandwidth_degenerates_to_tie(self):
-        policy = KernelUCB(np.inf, ConstantWidth(1.0))
+        policy = KernelUCB(np.inf, 1.0)
         rng = np.random.default_rng(89)
         policy.update(rng.standard_normal(3), 1.0)
         action, scores = policy.select(rng.standard_normal((4, 3)))
@@ -613,7 +681,7 @@ class TestKernelUCB:
         assert action == 0
 
     def test_buffer_cap_freezes_the_model(self):
-        policy = KernelUCB(1.0, ConstantWidth(1.0), cap=5)
+        policy = KernelUCB(1.0, 1.0, cap=5)
         rng = np.random.default_rng(90)
         for _ in range(9):
             policy.update(rng.standard_normal(2), float(rng.standard_normal()))
@@ -623,7 +691,7 @@ class TestKernelUCB:
     def test_log_det_ratio_matches_a_direct_factorization(self):
         # log det(I + K/lam) over the buffer, before and after the cap freezes it
         lam, cap = 0.5, 7
-        policy = KernelUCB(0.8, ConstantWidth(1.0), lam=lam, cap=cap)
+        policy = KernelUCB(0.8, 1.0, lam=lam, cap=cap)
         assert policy.log_det_ratio() == 0.0
         rng = np.random.default_rng(102)
         seen = []
@@ -653,8 +721,8 @@ class TestKernelUCB:
 
     def test_huge_bandwidth_is_the_constant_kernel_limit(self):
         # 1e200 squared overflows to inf, so it plays exactly as an infinite bandwidth
-        huge = KernelUCB(1e200, ConstantWidth(1.0))
-        infinite = KernelUCB(np.inf, ConstantWidth(1.0))
+        huge = KernelUCB(1e200, 1.0)
+        infinite = KernelUCB(np.inf, 1.0)
         rng = np.random.default_rng(104)
         for _ in range(3):
             contexts = rng.standard_normal((4, 3))
@@ -666,9 +734,9 @@ class TestKernelUCB:
 
     def test_bandwidth_whose_square_underflows_rejected(self):
         with pytest.raises(ValueError, match=r"^bandwidth must have a nonzero square, got 1e-200$"):
-            KernelUCB(1e-200, ConstantWidth(1.0))
+            KernelUCB(1e-200, 1.0)
         # a square that is still positive keeps a context's kernel with itself finite
-        policy = KernelUCB(1e-160, ConstantWidth(1.0))
+        policy = KernelUCB(1e-160, 1.0)
         x = np.array([0.3, 0.4])
         policy.update(x, 1.0)
         _, scores = policy.select(np.stack([x, -x]))
@@ -676,9 +744,9 @@ class TestKernelUCB:
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError, match="bandwidth"):
-            KernelUCB(0.0, ConstantWidth(1.0))
+            KernelUCB(0.0, 1.0)
         with pytest.raises(ValueError, match="cap"):
-            KernelUCB(1.0, ConstantWidth(1.0), cap=0)
+            KernelUCB(1.0, 1.0, cap=0)
 
 
 class TestTrivialPolicies:
@@ -692,7 +760,7 @@ class TestTrivialPolicies:
         policies = [
             UniformRandomPolicy(np.random.default_rng(92)),
             lin_ucb(4, gamma=1.0),
-            KernelUCB(bandwidth=1.0, width=ConstantWidth(1.0)),
+            KernelUCB(bandwidth=1.0, width=1.0),
         ]
         rng = np.random.default_rng(93)
         for policy in policies:
