@@ -12,9 +12,11 @@ These scipy routines are imported at a full design's first use, not with
 this module.  Diagonal mode keeps only the p diagonal entries (the
 large-width approximation used for wide networks); its "log-det" is the sum
 of per-coordinate log ratios.  It needs numpy alone, so it never loads
-scipy.linalg, whose import is most of the package's start-up time.  The
-widths are schedules (t, logdet) -> gamma for a policy's width; a constant
-width is a plain number, and only a schedule makes a policy read the log-det.
+scipy.linalg, whose import is most of the package's start-up time.
+quadratic_form takes one vector or a (K, p) stack of rows, so a policy
+scores its K arms with one call.  The widths are schedules
+(t, logdet) -> gamma for a policy's width; a constant width is a plain
+number, and only a schedule makes a policy read the log-det.
 """
 
 import functools
@@ -119,12 +121,22 @@ class DesignMatrix:
             raise np.linalg.LinAlgError("Matrix is singular")
         self._logdet = logdet - self.dim * math.log(self.lam)
 
-    def quadratic_form(self, v) -> float:
-        """v^T Z^{-1} v; nonnegative."""
-        v = check_array("v", v, 1, self.dim)
+    def quadratic_form(self, v) -> float | np.ndarray:
+        """v^T Z^{-1} v, nonnegative; for a (K, p) stack of rows, one value per row.
+
+        Each row gets bit for bit its value alone, in any memory order: rows
+        are summed C-ordered, and full mode runs one dsymv per row (one dsymm
+        for the stack was slower and rounds differently).
+        """
+        v = np.asarray(v, dtype=np.float64)
+        rows = np.ascontiguousarray(check_array("v", v, 2 if v.ndim == 2 else 1, self.dim)
+                                    .reshape(-1, self.dim))
         if self.mode == "diagonal":
-            return float(np.sum(v * v / self._diag))
-        return float(v @ self._blas.dsymv(1.0, self._z_inv, v))
+            forms = np.sum(rows * rows / self._diag, axis=1)
+        else:
+            dsymv, z_inv = self._blas.dsymv, self._z_inv
+            forms = np.array([row @ dsymv(1.0, z_inv, row) for row in rows])
+        return forms if v.ndim == 2 else float(forms[0])
 
     def solve(self, rhs) -> np.ndarray:
         """Z^{-1} rhs using the maintained inverse (or the diagonal)."""

@@ -1,11 +1,11 @@
 """Bandit environments: synthetic reward functions and dataset-derived bandits.
 
-Synthetic rounds draw K contexts uniformly from the unit ball and attach a
-hidden reward function; dataset rounds embed one feature vector into K
-block-sparse arm contexts (the disjoint model) with 0/1 reward for picking
-the true class.  Policies that need it apply the duplicate-and-normalize
-preprocessing, which maps any nonzero x to a unit vector whose two halves
-coincide.
+Synthetic rounds draw K contexts uniformly from the unit ball into one
+(K, d) array and attach a hidden reward function; dataset rounds embed one
+feature vector into K block-sparse arm contexts (the disjoint model) with
+0/1 reward for picking the true class.  Policies that need it apply the
+duplicate-and-normalize preprocessing, which maps any nonzero x to a unit
+vector whose two halves coincide.
 """
 
 import csv
@@ -31,12 +31,18 @@ SYNTHETIC_KINDS = ("h1", "h2", "h3", "linear")
 def sample_unit_ball(d: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform sample from the closed unit ball: Gaussian direction, U^(1/d) radius."""
     check_integer("d", d, low=1)
+    return _fill_unit_ball(np.empty(d), rng)
+
+
+def _fill_unit_ball(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Overwrite the contiguous vector out with a sample from the unit ball; returns out."""
     while True:
-        g = rng.standard_normal(d)
-        norm = np.linalg.norm(g)
+        rng.standard_normal(out=out)
+        norm = math.sqrt(out @ out)  # how np.linalg.norm takes a vector's norm
         if norm > 0:
             break
-    return (rng.random() ** (1.0 / d) / norm) * g
+    out *= rng.random() ** (1.0 / out.size) / norm
+    return out
 
 
 def preprocess_batch(contexts) -> np.ndarray:
@@ -84,8 +90,10 @@ class SyntheticBandit:
         self.a_mat = secret.standard_normal((d, d)) if kind == "h2" else None
 
     def next_round(self) -> np.ndarray:
-        return np.stack([sample_unit_ball(self.d, self.rng)
-                         for _ in range(self.num_actions)])
+        contexts = np.empty((self.num_actions, self.d))
+        for row in contexts:
+            _fill_unit_ball(row, self.rng)
+        return contexts
 
     def mean_rewards(self, contexts) -> np.ndarray:
         x = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
@@ -143,10 +151,6 @@ class DatasetBandit:
     @property
     def d(self) -> int:
         return self.features.shape[1] * self.num_classes
-
-    @property
-    def num_actions(self) -> int:
-        return self.num_classes
 
     def next_round(self) -> np.ndarray:
         if self._cursor >= self.features.shape[0]:

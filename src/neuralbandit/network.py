@@ -9,7 +9,9 @@ W_L of shape (1, m).  There are no biases.  The parameters are a single
 vector of length p = m*d + m^2*(L-2) + m, layers in order and row-major
 within each matrix, and each W_l is a zero-copy view of its slice: row-major
 views are C-contiguous, so they feed numpy the same BLAS calls as separate
-C-ordered matrices would.
+C-ordered matrices would.  value_and_gradient_batch returns the outputs and
+the gradients of one forward pass, bit for bit what forward_batch and
+gradient_batch return from two.
 """
 
 import math
@@ -25,6 +27,7 @@ __all__ = [
     "init_plain",
     "forward_batch",
     "gradient_batch",
+    "value_and_gradient_batch",
     "gradient_weighted_sum",
     "unflatten",
 ]
@@ -224,12 +227,12 @@ def forward_batch(params: NetworkParams, x) -> np.ndarray:
 def _backprop(params: NetworkParams, x: np.ndarray, seed: np.ndarray):
     """Forward pass, then the delta recursion from upstream weights `seed` (n,).
 
-    Returns the activations (x, a_1, ..., a_{L-1}) and the (n, m) deltas
-    d_1, ..., d_{L-1} of the hidden layers: outer(d_l[i], a_{l-1}[i]) is
-    seed_i times the gradient of f(x_i) w.r.t. W_l.  The ReLU derivative at
-    an exact zero preactivation is taken as 0.
+    Returns the outputs f(x_i), the activations (x, a_1, ..., a_{L-1}) and
+    the (n, m) deltas d_1, ..., d_{L-1} of the hidden layers:
+    outer(d_l[i], a_{l-1}[i]) is seed_i times the gradient of f(x_i) w.r.t.
+    W_l.  The ReLU derivative at an exact zero preactivation is taken as 0.
     """
-    _, acts, pres = _forward_pass(params, x)
+    out, acts, pres = _forward_pass(params, x)
     delta = (math.sqrt(params.shape.width) * seed)[:, None] \
         * params.weights[-1].ravel()[None, :] * (pres[-1] > 0)
     deltas = [delta]
@@ -237,19 +240,24 @@ def _backprop(params: NetworkParams, x: np.ndarray, seed: np.ndarray):
         delta = (delta @ params.weights[l]) * (pres[l - 1] > 0)
         deltas.append(delta)
     deltas.reverse()
-    return acts, deltas
+    return out, acts, deltas
 
 
-def gradient_batch(params: NetworkParams, x) -> np.ndarray:
-    """Gradients for each row of x, stacked into an (n, p) matrix."""
+def value_and_gradient_batch(params: NetworkParams, x):
+    """f and its gradients on each row of x from one forward pass: (n,) and (n, p)."""
     x = check_array("x", x, 2, params.shape.input_dim)
     n = x.shape[0]
-    acts, deltas = _backprop(params, x, np.ones(n))
+    out, acts, deltas = _backprop(params, x, np.ones(n))
     # row i of a block is outer(d_i, a_i) flattened row-major, like the weight views
     blocks = [(d[:, :, None] * a[:, None, :]).reshape(n, -1)
               for a, d in zip(acts, deltas)]
     blocks.append(math.sqrt(params.shape.width) * acts[-1])
-    return np.concatenate(blocks, axis=1)
+    return out, np.concatenate(blocks, axis=1)
+
+
+def gradient_batch(params: NetworkParams, x) -> np.ndarray:
+    """Gradients for each row of x, stacked into an (n, p) matrix."""
+    return value_and_gradient_batch(params, x)[1]
 
 
 def gradient_weighted_sum(params: NetworkParams, x, weights) -> np.ndarray:
@@ -260,7 +268,7 @@ def gradient_weighted_sum(params: NetworkParams, x, weights) -> np.ndarray:
     """
     x = check_array("x", x, 2, params.shape.input_dim)
     weights = check_array("weights", weights, 1, x.shape[0])
-    acts, deltas = _backprop(params, x, weights)
+    _, acts, deltas = _backprop(params, x, weights)
     blocks = [(d.T @ a).ravel() for a, d in zip(acts, deltas)]
     blocks.append(math.sqrt(params.shape.width) * (weights @ acts[-1]))
     return np.concatenate(blocks)

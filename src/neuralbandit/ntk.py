@@ -101,6 +101,8 @@ def effective_dimension(h, lam: float, tk: int) -> float:
 
     tk is passed explicitly because callers evaluate the ratio on
     sub-sampled context sets while keeping the full-horizon normalizer.
+    A lam so small that 2H/lam (the symmetrizing sum) or tk/lam is not
+    finite raises ValueError naming lam.
     """
     h = _check_gram(h)
     check_positive("lam", lam)
@@ -108,21 +110,30 @@ def effective_dimension(h, lam: float, tk: int) -> float:
     min_eig = float(np.linalg.eigvalsh(h)[0])
     if min_eig < PSD_TOLERANCE:
         raise ValueError(f"Gram matrix is not PSD (min eigenvalue {min_eig:.3e})")
-    shifted = np.eye(h.shape[0]) + h / lam
-    chol = np.linalg.cholesky((shifted + shifted.T) / 2.0)
+    with np.errstate(over="ignore"):
+        shifted = np.eye(h.shape[0]) + h / lam
+        shifted = (shifted + shifted.T) / 2.0
+        horizon = tk / lam
+    if not (np.isfinite(shifted).all() and np.isfinite(horizon)):
+        raise ValueError(f"lam must be large enough that 2H/lam and tk/lam are finite, "
+                         f"got {lam}")
+    chol = np.linalg.cholesky(shifted)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return logdet / np.log1p(tk / lam)
+    return logdet / np.log1p(horizon)
 
 
 def rkhs_norm_proxy(h, rewards) -> float:
     """sqrt(r^T H^{-1} r) via a Cholesky solve.
 
-    Raises if H is numerically singular, which happens exactly when the
-    context set contains (near-)parallel contexts and the non-degeneracy
-    assumption on the Gram matrix fails.
+    Raises if a reward is not finite, or if H is numerically singular, which
+    happens exactly when the context set contains (near-)parallel contexts
+    and the non-degeneracy assumption on the Gram matrix fails.
     """
     h = _check_gram(h)
     r = check_array("rewards", rewards, 1, h.shape[0])
+    bad = np.flatnonzero(~np.isfinite(r))
+    if bad.size:
+        raise ValueError(f"rewards must be finite; entries {bad.tolist()} are not")
     min_eig = float(np.linalg.eigvalsh(h)[0])
     if min_eig <= SINGULARITY_THRESHOLD:
         raise ValueError(

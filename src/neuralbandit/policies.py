@@ -5,8 +5,11 @@ reward network online, NeuralUCB0 runs ridge regression on frozen features
 (LinUCB on the identity map), and KernelUCB runs kernel ridge regression.
 Each scores an arm by its predicted mean, plus a width gamma times the root
 of the arm's posterior variance, and with probability epsilon plays a
-uniform arm instead.  The width is None for none, a number, or a schedule
-(t, logdet) -> gamma, and only a schedule reads the learner's log-det.
+uniform arm instead.  select makes one pass over the K arms: NeuralUCB
+runs one forward pass for the means and the gradients, and a learner with a
+design makes one design call for the K variances.  The width is None for
+none, a number, or a schedule (t, logdet) -> gamma, and only a schedule
+reads the learner's log-det.
 Every policy, the baseline too, shares one update, which checks the chosen
 context and reward and counts the round.
 Every policy exposes
@@ -38,6 +41,7 @@ from neuralbandit.network import (
     gradient_batch,
     gradient_weighted_sum,
     unflatten,
+    value_and_gradient_batch,
 )
 
 __all__ = [
@@ -221,18 +225,15 @@ class _Policy:
         return self.design.log_det_ratio()
 
 
-def _quadratic_forms(design, feats) -> np.ndarray:
-    """f^T Z^{-1} f for each feature row f."""
-    return np.array([design.quadratic_form(f) for f in feats])
-
-
 class NeuralUCB(_Policy):
     """The learner that retrains a reward network online.
 
     Means are f(x; theta).  With a width, the features are g(x; theta) / sqrt(m)
     and Z accumulates the chosen arms' features, taken at the pre-update
-    parameters.  With no width and epsilon > 0 this is neural epsilon-greedy,
-    which keeps no design and computes no gradients.
+    parameters; select takes the K means and features from one forward pass
+    and their squared widths from one design call.  With no width and
+    epsilon > 0 this is neural epsilon-greedy, which keeps no design and
+    computes no gradients.
     """
 
     def __init__(self, shape: NetworkShape, lam: float, width, rng: np.random.Generator,
@@ -248,18 +249,16 @@ class NeuralUCB(_Policy):
         self.design = None if width is None else DesignMatrix(shape.num_params, lam,
                                                               design_mode)
 
-    def _scaled_gradients(self, contexts) -> np.ndarray:
-        return gradient_batch(self.theta, contexts) / math.sqrt(self.shape.width)
-
     def _predict(self, contexts):
-        means = forward_batch(self.theta, contexts)
         if self.design is None:
-            return means, None
-        return means, _quadratic_forms(self.design, self._scaled_gradients(contexts))
+            return forward_batch(self.theta, contexts), None
+        means, grads = value_and_gradient_batch(self.theta, contexts)
+        return means, self.design.quadratic_form(grads / math.sqrt(self.shape.width))
 
     def _learn(self, row, reward) -> None:
         if self.design is not None:
-            self.design.rank_one_update(self._scaled_gradients(row)[0])
+            scaled = gradient_batch(self.theta, row) / math.sqrt(self.shape.width)
+            self.design.rank_one_update(scaled[0])
         self.history.append((row[0], reward))
         t = self.t
         cfg = self.train_config
@@ -306,7 +305,7 @@ class NeuralUCB0(_Policy):
 
     def _predict(self, contexts):
         phi = self.feature_map(contexts)
-        widths = None if self.gamma is None else _quadratic_forms(self.design, phi)
+        widths = None if self.gamma is None else self.design.quadratic_form(phi)
         return phi @ self.theta_offset, widths
 
     def _learn(self, row, reward) -> None:

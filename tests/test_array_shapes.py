@@ -50,6 +50,8 @@ CASES = [
                  id="rank_one_update-diagonal"),
     pytest.param(lambda a: design("full").quadratic_form(a), "v", (6,), "(5,)",
                  id="quadratic_form"),
+    pytest.param(lambda a: design("diagonal").quadratic_form(a), "v", (4, 6), "(?, 5)",
+                 id="quadratic_form-stack"),
     pytest.param(lambda a: design("diagonal").solve(a), "rhs", (5, 1), "(5,)", id="solve"),
     pytest.param(lambda a: ntk_gram(a, 2), "contexts", (4,), "(?, ?)", id="ntk_gram"),
     pytest.param(lambda a: empirical_gram(PARAMS, a), "contexts", (4,), "(?, 4)",

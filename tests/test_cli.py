@@ -332,6 +332,18 @@ class TestNtk:
         out = capsys.readouterr().out
         assert "rkhs_norm_proxy," in out
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_reward_exits_one(self, tmp_path, capsys, bad):
+        contexts = tmp_path / "ctx.csv"
+        contexts.write_text("1,0\n0,1\n", encoding="utf-8")
+        rewards = tmp_path / "rew.csv"
+        rewards.write_text(f"1\n{bad}\n", encoding="utf-8")
+        assert main(["ntk", "--contexts", str(contexts), "--depth", "2",
+                     "--lambda", "1.0", "--tk", "4", "--rewards", str(rewards)]) == 1
+        captured = capsys.readouterr()
+        assert "rewards must be finite" in captured.err
+        assert "rkhs_norm_proxy" not in captured.out
+
     def test_output_file_option(self, tmp_path, capsys):
         contexts = tmp_path / "ctx.csv"
         contexts.write_text("1,0\n0,1\n", encoding="utf-8")
@@ -379,6 +391,8 @@ class TestNtk:
         pytest.param("--lambda", "0", "lam must be positive", id="lambda-0"),
         pytest.param("--lambda", "nan", "lam must be finite", id="lambda-nan"),
         pytest.param("--lambda", "inf", "lam must be finite", id="lambda-inf"),
+        pytest.param("--lambda", "1e-308", "lam must be large enough", id="lambda-1e-308"),
+        pytest.param("--lambda", "1e-320", "lam must be large enough", id="lambda-1e-320"),
         pytest.param("--tk", "0", "tk must be >= 1", id="tk-0"),
     ])
     def test_bad_depth_exits_one(self, tmp_path, capsys, flag, value, message):

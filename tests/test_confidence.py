@@ -182,6 +182,20 @@ class TestInvariants:
         full.inverse[:] = 1.0
         assert full.quadratic_form(v) == before
 
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    def test_stack_of_rows_gets_the_per_row_values_bit_for_bit(self, mode):
+        rng = np.random.default_rng(12)
+        d = DesignMatrix(30, 0.3, mode=mode, refresh_every=8)
+        for _ in range(20):  # full mode refreshes after updates 8 and 16
+            d.rank_one_update(rng.standard_normal(30))
+            stack = rng.standard_normal((4, 30))
+            per_row = np.array([d.quadratic_form(row) for row in stack])
+            assert d.quadratic_form(stack).tobytes() == per_row.tobytes()
+            # a Fortran-ordered stack gets the same values
+            assert d.quadratic_form(np.asfortranarray(stack)).tobytes() == per_row.tobytes()
+        assert isinstance(d.quadratic_form(stack[0]), float)
+        assert d.quadratic_form(stack[:0]).shape == (0,)
+
     def test_update_that_would_break_the_inverse_changes_nothing(self):
         # from I/lam = 1e20 I the maintained inverse loses its accuracy within a
         # few updates, and 1 + u^T Z^-1 u comes out negative

@@ -113,6 +113,26 @@ class TestSyntheticBandit:
             assert contexts.shape == (3, 4)
             assert np.all(np.linalg.norm(contexts, axis=1) <= 1.0 + 1e-12)
 
+    @pytest.mark.parametrize("d", [1, 3, 20])
+    def test_next_round_draws_the_stacked_samples_bit_for_bit(self, d):
+        def stacked_round(rng):
+            # one sample_unit_ball per arm, normed by np.linalg.norm, then stacked
+            rows = []
+            for _ in range(4):
+                while True:
+                    g = rng.standard_normal(d)
+                    norm = np.linalg.norm(g)
+                    if norm > 0:
+                        break
+                rows.append((rng.random() ** (1.0 / d) / norm) * g)
+            return np.stack(rows)
+
+        env = SyntheticBandit("h3", d, 4, 1.0, np.random.default_rng(108),
+                              secret_rng=np.random.default_rng(109))
+        twin = np.random.default_rng(108)
+        for _ in range(50):
+            assert env.next_round().tobytes() == stacked_round(twin).tobytes()
+
     def test_noiseless_reward_equals_mean(self):
         env = self.env("h3", seed=107, noise=0.0)
         assert env.noisy_reward(0.42) == 0.42

@@ -13,6 +13,7 @@ from neuralbandit.network import (
     gradient_batch,
     gradient_weighted_sum,
     unflatten,
+    value_and_gradient_batch,
 )
 
 
@@ -239,6 +240,13 @@ class TestGradient:
             rel = np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8)
             assert rel.max() <= 1e-4
             checked += 1
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_value_and_gradient_batch_is_forward_and_gradient_bit_for_bit(self, depth):
+        params, xs, _ = random_case(depth, half_d=3, half_m=4, n=6, seed=depth)
+        values, grads = value_and_gradient_batch(params, xs)
+        assert values.tobytes() == forward_batch(params, xs).tobytes()
+        assert grads.tobytes() == gradient_batch(params, xs).tobytes()
 
     @given(**GRADIENT_CASES)
     @settings(max_examples=60, deadline=None)

@@ -193,6 +193,15 @@ class TestEffectiveDimension:
         with pytest.raises(ValueError, match="nonempty"):
             rkhs_norm_proxy(np.zeros((0, 0)), np.zeros(0))
 
+    @pytest.mark.parametrize("h,lam,tk", [
+        pytest.param(ntk_gram(np.eye(2), 2), 1e-308, 4, id="2H-over-lam"),
+        pytest.param(ntk_gram(np.eye(2), 2), 1e-320, 4, id="H-over-subnormal-lam"),
+        pytest.param(1e-10 * np.eye(2), 1e-305, 10_000, id="tk-over-lam"),
+    ])
+    def test_lam_too_small_for_a_finite_ratio_rejected(self, h, lam, tk):
+        with pytest.raises(ValueError, match=f"^lam must be large enough .* got {lam}$"):
+            effective_dimension(h, lam, tk)
+
     def test_invalid_lam_and_tk_rejected(self):
         with pytest.raises(ValueError):
             effective_dimension(np.eye(2), 0.0, 2)
@@ -224,3 +233,8 @@ class TestRkhsNormProxy:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             rkhs_norm_proxy(np.eye(2), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reward_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"^rewards must be finite; entries \[1\] are not$"):
+            rkhs_norm_proxy(np.eye(3), np.array([1.0, bad, 0.0]))

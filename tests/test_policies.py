@@ -8,7 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from neuralbandit.confidence import RidgeWidth
+from neuralbandit import network
+from neuralbandit.confidence import DesignMatrix, RidgeWidth
 from neuralbandit.environments import preprocess_batch
 from neuralbandit.harness import PolicyConfig, _build_policy
 from neuralbandit.network import (
@@ -493,13 +494,34 @@ class TestChoiceRule:
         assert policy.design is None
         assert policy.theta is not policy.theta0
 
-    def test_frozen_features_are_computed_once_per_select(self):
+    @staticmethod
+    def count_calls(monkeypatch, owner, name):
+        """Replace owner.name with a wrapper that counts its calls; returns the count list."""
+        calls = []
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args: calls.append(None) or original(*args))
+        return calls
+
+    def test_frozen_features_are_computed_once_per_select(self, monkeypatch):
         feature_map, dim = gradient_feature_map(NetworkShape(8, 8, 2),
                                                 np.random.default_rng(98))
         calls = []
         policy = NeuralUCB0(lambda x: calls.append(x) or feature_map(x), dim, 1.0, 0.5)
+        forms = self.count_calls(monkeypatch, DesignMatrix, "quadratic_form")
         policy.select(duplicated_contexts(4, 4, 99))
-        assert len(calls) == 1
+        assert (len(calls), len(forms)) == (1, 1)
+
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    def test_neural_select_runs_one_forward_pass_and_one_design_call(self, monkeypatch, mode):
+        policy = NeuralUCB(NetworkShape(8, 8, 2), 1.0, 0.5, np.random.default_rng(102),
+                           train=FAST_TRAIN, design_mode=mode)
+        contexts = duplicated_contexts(4, 4, 103)
+        policy.update(contexts[0], 1.0)
+        passes = self.count_calls(monkeypatch, network, "_forward_pass")
+        forms = self.count_calls(monkeypatch, DesignMatrix, "quadratic_form")
+        policy.select(contexts)
+        assert (len(passes), len(forms)) == (1, 1)
 
     def test_epsilon_explores_around_the_ucb_scores(self):
         shape = NetworkShape(8, 8, 2)
