@@ -8,6 +8,10 @@ bound floating-point drift.  It stores Z and its inverse as Fortran-ordered
 p x p arrays of which only the upper triangles are kept current: BLAS dsyr
 applies each rank-one update to them in place, dsymv computes products with
 the inverse, and LAPACK dpotrf/dpotri recompute the inverse at a refresh.
+A round reads only the inverse, so Z is brought up to date only when it is
+read: the update vectors wait in a block of at most 64 rows, which dsyr
+applies to Z in arrival order when the block fills, at a refresh and when
+`matrix` is read, with the same result bit for bit as updating Z each round.
 These scipy routines are imported at a full design's first use, not with
 this module.  Diagonal mode keeps only the p diagonal entries (the
 large-width approximation used for wide networks); its "log-det" is the sum
@@ -39,6 +43,7 @@ __all__ = [
 ]
 
 DEFAULT_REFRESH_EVERY = 512
+_PENDING_ROWS = 64  # the most update vectors a full design holds back from Z
 
 
 class DesignMatrix:
@@ -47,9 +52,12 @@ class DesignMatrix:
     Full mode keeps only the upper triangles of Z and Z^{-1} current, in
     Fortran-ordered arrays that BLAS updates in place (the lower triangles
     hold stale values after a refresh).  Every read goes through dsymv or
-    through `matrix`/`inverse`, which return fresh symmetric copies.  The
-    BLAS and LAPACK routines load with those arrays, at full mode's first
-    use, and are looked up once per design; diagonal mode never loads them.
+    through `matrix`/`inverse`, which return fresh symmetric copies.  Z^{-1}
+    and the log-det take each update at once; Z lags behind by the updates
+    held, as copies, in a pending block of min(refresh_every, 64) rows
+    (215 KB at p = 420), which is applied before Z is read.  The BLAS and
+    LAPACK routines load with those arrays, at full mode's first use, and
+    are looked up once per design; diagonal mode never loads them.
     """
 
     def __init__(self, dim: int, lam: float, mode: str = "full",
@@ -66,6 +74,7 @@ class DesignMatrix:
         self._updates = 0
         if mode == "full":
             self._logdet = 0.0
+            self._pending_rows = 0
         else:
             self._diag = np.full(dim, lam)
 
@@ -79,6 +88,10 @@ class DesignMatrix:
     @functools.cached_property
     def _z_inv(self) -> np.ndarray:
         return _scaled_identity(self.dim, 1.0 / self.lam)
+
+    @functools.cached_property
+    def _pending(self) -> np.ndarray:
+        return np.empty((min(self.refresh_every, _PENDING_ROWS), self.dim))
 
     @functools.cached_property
     def _blas(self) -> SimpleNamespace:
@@ -96,21 +109,32 @@ class DesignMatrix:
         blas = self._blas
         zu = blas.dsymv(1.0, self._z_inv, u)
         denom = 1.0 + float(u @ zu)
-        if not 0.0 < denom < math.inf:  # checked before Z and Z^{-1} change
+        if not 0.0 < denom < math.inf:  # checked before the design changes
             raise np.linalg.LinAlgError(f"rank-one update {self._updates + 1} at lam = {self.lam}: "
                                         f"1 + u^T Z^-1 u = {denom} is not finite and positive")
+        self._pending[self._pending_rows] = u  # a copy: the caller may reuse u
+        self._pending_rows += 1
         # the arrays are F-contiguous, so overwrite_a updates them in place
-        self._z = blas.dsyr(1.0, u, a=self._z, overwrite_a=1)
         self._z_inv = blas.dsyr(-1.0 / denom, zu, a=self._z_inv, overwrite_a=1)
         self._logdet += math.log(denom)
         self._updates += 1
+        if self._pending_rows == len(self._pending):
+            self._apply_pending()
         if self._updates % self.refresh_every == 0:
             self.refresh()
+
+    def _apply_pending(self) -> None:
+        """Z += u u^T for each pending u, in arrival order; Z is then current."""
+        if self._pending_rows:  # else a fresh design's `matrix` would load scipy
+            for u in self._pending[:self._pending_rows]:
+                self._z = self._blas.dsyr(1.0, u, a=self._z, overwrite_a=1)
+            self._pending_rows = 0
 
     def refresh(self) -> None:
         """Recompute the inverse and log-det from a direct Cholesky factorization."""
         if self.mode == "diagonal":
             return
+        self._apply_pending()
         chol, info = self._blas.dpotrf(self._z, lower=0)
         if info != 0:
             raise np.linalg.LinAlgError("Matrix is not positive definite")
@@ -156,6 +180,7 @@ class DesignMatrix:
         """A fresh dense symmetric Z (diagonal mode materializes it); for inspection and tests."""
         if self.mode == "diagonal":
             return np.diag(self._diag)
+        self._apply_pending()
         return _symmetric_copy(self._z)
 
     @property

@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 
+_INITIAL_ROWS = 64  # NeuralUCB's training-data capacity before its first doubling
+
+
 class DivergenceError(RuntimeError):
     """Gradient descent produced a non-finite loss."""
 
@@ -233,7 +236,10 @@ class NeuralUCB(_Policy):
     parameters; select takes the K means and features from one forward pass
     and their squared widths from one design call.  With no width and
     epsilon > 0 this is neural epsilon-greedy, which keeps no design and
-    computes no gradients.
+    computes no gradients.  The training data is a copy of each chosen
+    context and its reward, kept in arrays that double when full, so a
+    caller may reuse its context buffer and a retrain slices the data
+    without rebuilding it.
     """
 
     def __init__(self, shape: NetworkShape, lam: float, width, rng: np.random.Generator,
@@ -245,7 +251,9 @@ class NeuralUCB(_Policy):
         self.train_config = train
         self.theta0 = init_symmetric(shape, rng)
         self.theta = self.theta0
-        self.history = []
+        self._contexts = np.empty((_INITIAL_ROWS, shape.input_dim))
+        self._rewards = np.empty(_INITIAL_ROWS)
+        self._rows = 0
         self.design = None if width is None else DesignMatrix(shape.num_params, lam,
                                                               design_mode)
 
@@ -255,18 +263,28 @@ class NeuralUCB(_Policy):
         means, grads = value_and_gradient_batch(self.theta, contexts)
         return means, self.design.quadratic_form(grads / math.sqrt(self.shape.width))
 
+    @property
+    def training_data(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (n, d) chosen contexts and (n,) rewards so far, as views of the stored arrays."""
+        return self._contexts[:self._rows], self._rewards[:self._rows]
+
     def _learn(self, row, reward) -> None:
         if self.design is not None:
             scaled = gradient_batch(self.theta, row) / math.sqrt(self.shape.width)
             self.design.rank_one_update(scaled[0])
-        self.history.append((row[0], reward))
+        n = self._rows
+        if n == len(self._rewards):
+            self._contexts = np.concatenate([self._contexts, np.empty_like(self._contexts)])
+            self._rewards = np.concatenate([self._rewards, np.empty_like(self._rewards)])
+        self._contexts[n] = row[0]
+        self._rewards[n] = reward
+        self._rows = n + 1
         t = self.t
         cfg = self.train_config
         if t < max(cfg.train_start, 1) or t % cfg.cadence != 0:
             return
         j = t if cfg.j_steps is None else cfg.j_steps
-        x = np.stack([c for c, _ in self.history])
-        r = np.array([rw for _, rw in self.history])
+        x, r = self.training_data
         self.theta, _ = train_nn(
             self.lam, cfg.eta, j, x, r, self.theta0,
             batch_size=cfg.batch_size, rng=self.rng,

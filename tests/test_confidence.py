@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg.blas import dsymv, dsyr
+from scipy.linalg.lapack import dpotrf, dpotri
+
 from neuralbandit.confidence import DesignMatrix, NeuralWidth, RidgeWidth
 from neuralbandit.network import NetworkShape
 from neuralbandit.policies import TrainingConfig
@@ -17,6 +20,43 @@ def direct_log_det_ratio(z: np.ndarray, lam: float) -> float:
     sign, logdet = np.linalg.slogdet(z)
     assert sign > 0
     return logdet - z.shape[0] * math.log(lam)
+
+
+class EagerDesign:
+    """The full design written out with Z updated by dsyr at every update, not on read."""
+
+    def __init__(self, dim, lam, refresh_every=512):
+        self.lam, self.refresh_every, self.updates, self.logdet = lam, refresh_every, 0, 0.0
+        self.z = np.asfortranarray(lam * np.eye(dim))
+        self.z_inv = np.asfortranarray(np.eye(dim) / lam)
+
+    def rank_one_update(self, u):
+        zu = dsymv(1.0, self.z_inv, u)
+        denom = 1.0 + float(u @ zu)
+        if not 0.0 < denom < math.inf:
+            raise np.linalg.LinAlgError(denom)
+        self.z = dsyr(1.0, u, a=self.z, overwrite_a=1)
+        self.z_inv = dsyr(-1.0 / denom, zu, a=self.z_inv, overwrite_a=1)
+        self.logdet += math.log(denom)
+        self.updates += 1
+        if self.updates % self.refresh_every == 0:
+            chol, info = dpotrf(self.z, lower=0)
+            assert info == 0
+            logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+            self.z_inv, info = dpotri(chol, lower=0, overwrite_c=1)
+            assert info == 0
+            self.logdet = logdet - self.z.shape[0] * math.log(self.lam)
+
+    def quadratic_form(self, rows):
+        return np.array([row @ dsymv(1.0, self.z_inv, row) for row in rows])
+
+    @property
+    def matrix(self):
+        return np.triu(self.z) + np.triu(self.z, 1).T
+
+    @property
+    def inverse(self):
+        return np.triu(self.z_inv) + np.triu(self.z_inv, 1).T
 
 
 class TestNewDesign:
@@ -212,6 +252,59 @@ class TestInvariants:
             pytest.fail("no update failed")
         assert np.array_equal(d.matrix, before[0]) and np.array_equal(d.inverse, before[1])
         assert d.log_det_ratio() == before[2]
+
+    def test_pending_update_that_would_break_the_inverse_changes_nothing(self):
+        # as above, but Z is never read before the failing update, so the
+        # accepted updates are still pending in Z when it fails
+        rng = np.random.default_rng(0)
+        d, eager = DesignMatrix(4, 1e-20), EagerDesign(4, 1e-20)
+        for count in range(1, 100):
+            before = d.inverse, d.log_det_ratio()
+            u = rng.standard_normal(4)
+            try:
+                d.rank_one_update(u)
+            except np.linalg.LinAlgError as exc:
+                assert str(exc).startswith(f"rank-one update {count} at lam = 1e-20: ")
+                break
+            eager.rank_one_update(u)
+        else:
+            pytest.fail("no update failed")
+        assert count > 1  # the accepted updates were pending
+        with pytest.raises(np.linalg.LinAlgError):
+            eager.rank_one_update(u)
+        assert np.array_equal(d.inverse, before[0]) and d.log_det_ratio() == before[1]
+        assert d.matrix.tobytes() == eager.matrix.tobytes()
+        assert d.inverse.tobytes() == eager.inverse.tobytes()
+        assert d.log_det_ratio() == eager.logdet
+
+    @pytest.mark.parametrize("refresh_every", [512, 100, 8])
+    @pytest.mark.parametrize("read_matrix_midrun", [True, False])
+    def test_lazy_z_is_bit_identical_to_updating_z_every_round(
+            self, refresh_every, read_matrix_midrun):
+        # Z is brought up to date only when it is read; the inverse, log-det,
+        # forms and Z itself must come out as if dsyr had updated Z every round
+        rng = np.random.default_rng(31)
+        p = 24
+        d, eager = DesignMatrix(p, 0.5, refresh_every=refresh_every), EagerDesign(
+            p, 0.5, refresh_every)
+        # mid-block, a block boundary, refreshes at 100, 512 and 1024, and past them
+        checks = {1, 30, 64, 100, 128, 200, 512, 600, 1024, 1100}
+        for count in range(1, 1101):
+            u = rng.standard_normal(p) / math.sqrt(p)
+            eager.rank_one_update(u.copy())
+            d.rank_one_update(u)
+            u[:] = 1e6  # the design keeps no reference to the caller's vector
+            if count not in checks:
+                continue
+            rows = rng.standard_normal((4, p))
+            assert d.quadratic_form(rows).tobytes() == eager.quadratic_form(rows).tobytes()
+            assert d.inverse.tobytes() == eager.inverse.tobytes()
+            assert d.log_det_ratio() == eager.logdet
+            if read_matrix_midrun:
+                assert d.matrix.tobytes() == eager.matrix.tobytes()
+        assert d.matrix.tobytes() == eager.matrix.tobytes()
+        assert d.inverse.tobytes() == eager.inverse.tobytes()
+        assert d.log_det_ratio() == eager.logdet
 
     def test_refresh_bounds_drift_over_long_streams(self):
         rng = np.random.default_rng(43)

@@ -256,14 +256,37 @@ class TestNeuralUCB:
         expected = math.log(1.0 + float(feat @ feat) / 1.0)
         assert policy.design.log_det_ratio() == pytest.approx(expected, rel=1e-12)
 
-    def test_history_length_tracks_rounds(self):
+    @pytest.mark.parametrize("rounds", [7, 130])  # 130 rounds outgrow the first capacity
+    def test_training_data_holds_the_chosen_contexts_and_rewards(self, rounds):
         policy = self.fresh_policy()
-        contexts = duplicated_contexts(3, 4, 65)
-        for t in range(7):
+        rng = np.random.default_rng(65)
+        chosen, rewards = [], []
+        for t in range(rounds):
+            contexts = preprocess_batch(rng.standard_normal((3, 4)))
             action, _ = policy.select(contexts)
             policy.update(contexts[action], 0.1 * t)
-        assert policy.t == 7
-        assert len(policy.history) == 7
+            chosen.append(contexts[action].copy())
+            rewards.append(0.1 * t)
+        x, r = policy.training_data
+        assert policy.t == rounds
+        assert x.tobytes() == np.array(chosen).tobytes()
+        assert r.tobytes() == np.array(rewards).tobytes()
+
+    def test_reused_context_buffer_leaves_the_training_data_as_chosen(self):
+        # the caller overwrites one (K, d) buffer every round; the policy must
+        # train on the contexts it was given, as if each round had its own array
+        reused, copied = self.fresh_policy(seed=67), self.fresh_policy(seed=67)
+        rng = np.random.default_rng(68)
+        buffer = np.empty((3, 8))
+        for t in range(FAST_TRAIN.cadence):
+            buffer[:] = preprocess_batch(rng.standard_normal((3, 4)))
+            action, _ = reused.select(buffer)
+            assert copied.select(buffer.copy())[0] == action
+            reused.update(buffer[action], 0.1 * t)
+            copied.update(buffer[action].copy(), 0.1 * t)
+            assert not np.shares_memory(reused.training_data[0], buffer)
+        assert reused.theta is not reused.theta0  # a retrain ran
+        assert reused.theta.flat.tobytes() == copied.theta.flat.tobytes()
 
     def test_zero_training_steps_keeps_initial_parameters(self):
         policy = self.fresh_policy()

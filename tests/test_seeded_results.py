@@ -9,13 +9,28 @@ every digest.  A change meant to alter results must regenerate them, by
 running this file as a script, and say why.
 
     PYTHONPATH=src python3 tests/test_seeded_results.py
+
+T=300 stays below the full design's refresh every 512 updates, so one more
+digest pins a full design's stream across two refreshes: 1,100 seeded
+rank-one updates at p=100, the quadratic forms of 4 fresh rows and the
+log-det after each, then Z and its inverse.  A refresh's LAPACK
+factorization rounds differently at different BLAS thread counts, so that
+stream runs in a child process with BLAS pinned to one thread, as the
+benchmark's workers run.
 """
 
 import hashlib
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import neuralbandit
+from neuralbandit.confidence import DesignMatrix
 from neuralbandit.harness import EnvironmentConfig, ExperimentConfig, PolicyConfig, run_experiment
 
 VARIANTS = {
@@ -159,13 +174,47 @@ EXPECTED = {
 }
 
 
+EXPECTED_DESIGN_STREAM = "1f52610edd0951f16d089f25541ac909b718abdb0258ff7d4799a0ff6054c45f"
+
+
+def design_stream_digest():
+    rng = np.random.default_rng(11)
+    p, k = 100, 4
+    design = DesignMatrix(p, 0.5)
+    digest = hashlib.sha256()
+    for _ in range(1100):
+        design.rank_one_update(rng.standard_normal(p) / math.sqrt(p))
+        digest.update(design.quadratic_form(rng.standard_normal((k, p))).tobytes())
+        digest.update(np.float64(design.log_det_ratio()).tobytes())
+    digest.update(design.matrix.tobytes())
+    digest.update(design.inverse.tobytes())
+    return digest.hexdigest()
+
+
+def pinned_design_stream_digest():
+    """design_stream_digest() run in a child process with BLAS pinned to one thread."""
+    src = str(Path(neuralbandit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, __file__, "--design-stream"], env=env,
+                          capture_output=True, text=True, check=True, timeout=120).stdout.strip()
+
+
 @pytest.mark.parametrize("kind,variant", [(k, v) for k in KINDS for v in VARIANTS])
 def test_seeded_regret_is_unchanged(kind, variant):
     assert digests(kind, variant) == EXPECTED[f"{kind}/{variant}"]
 
 
+def test_design_stream_across_refreshes_is_unchanged():
+    assert pinned_design_stream_digest() == EXPECTED_DESIGN_STREAM
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--design-stream"]:
+        print(design_stream_digest())
+        sys.exit()
     for kind in KINDS:
         for variant in VARIANTS:
             print(f'    "{kind}/{variant}": [')
             print("".join(f'        "{d}",\n' for d in digests(kind, variant)) + "    ],")
+    print(f'EXPECTED_DESIGN_STREAM = "{pinned_design_stream_digest()}"')
