@@ -49,15 +49,15 @@ _PENDING_ROWS = 64  # the most update vectors a full design holds back from Z
 class DesignMatrix:
     """lam*I plus a stream of rank-one updates; owned by one policy run.
 
-    Full mode keeps only the upper triangles of Z and Z^{-1} current, in
-    Fortran-ordered arrays that BLAS updates in place (the lower triangles
-    hold stale values after a refresh).  Every read goes through dsymv or
-    through `matrix`/`inverse`, which return fresh symmetric copies.  Z^{-1}
-    and the log-det take each update at once; Z lags behind by the updates
-    held, as copies, in a pending block of min(refresh_every, 64) rows
-    (215 KB at p = 420), which is applied before Z is read.  The BLAS and
-    LAPACK routines load with those arrays, at full mode's first use, and
-    are looked up once per design; diagonal mode never loads them.
+    In full mode the lower triangles hold stale values after a refresh, so
+    every read goes through dsymv or through `matrix`/`inverse`, which
+    return fresh symmetric copies.  Z^{-1} and the log-det take each update
+    at once; Z lags behind by the updates held, as copies, in a pending
+    block of min(refresh_every, 64) rows (215 KB at p = 420), which is
+    applied before Z is read.  The BLAS and LAPACK routines are looked up
+    once per design.  A refresh's dpotrf and dpotri round differently at 1
+    and 2 BLAS threads, so a full design's results after its first refresh
+    are bit-reproducible only at a fixed BLAS thread count.
     """
 
     def __init__(self, dim: int, lam: float, mode: str = "full",

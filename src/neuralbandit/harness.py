@@ -101,7 +101,7 @@ class PolicyConfig:
     design_mode: str = "full"
     preprocess: bool | None = None  # None: on for neural algorithms, off otherwise
     # exploration
-    gamma: float | None = 0.1  # every UCB width; null gives NeuralUCB its theoretical one
+    gamma: float | None = 0.1  # every UCB width; null gives each UCB its theoretical one
     epsilon: float = 0.1
     nu: float = 1.0
     delta: float = 0.1
@@ -199,26 +199,26 @@ def _build_policy(cfg: PolicyConfig, env, rng):
     dim = 2 * env.d if cfg.resolved_preprocess() else env.d
     if algo == "random":
         return policies.UniformRandomPolicy(rng)
-    if algo in ("lin_ucb", "kernel_ucb"):
-        check_real("gamma", cfg.gamma, low=0)  # a null width would leave them greedy
-    if algo == "lin_ucb":
-        return policies.NeuralUCB0(lambda x: x, dim, cfg.lam, cfg.gamma)
     if algo == "kernel_ucb":
+        check_real("gamma", cfg.gamma, low=0)  # no kernel schedule; null would leave it greedy
         return policies.KernelUCB(cfg.kernel_bandwidth, cfg.gamma, lam=cfg.lam,
                                   cap=cfg.kernel_cap)
+    width = cfg.gamma  # a number is a constant width, and null the algorithm's schedule
+    if width is None and algo in ("neural_ucb", "neural_ucb0", "lin_ucb"):
+        width = RidgeWidth(cfg.nu, cfg.delta, cfg.s_norm, cfg.lam)  # OFUL's, for lin_ucb
+    if algo == "lin_ucb":
+        return policies.NeuralUCB0(lambda x: x, dim, cfg.lam, width)
     shape = NetworkShape(input_dim=dim, width=cfg.width, depth=cfg.depth)
     if algo == "neural_ucb":
         train = _training_config(cfg)
-        width = cfg.gamma
-        if width is None:
-            width = NeuralWidth(RidgeWidth(cfg.nu, cfg.delta, cfg.s_norm, cfg.lam), shape, train)
+        if cfg.gamma is None:
+            width = NeuralWidth(width, shape, train)
         return policies.NeuralUCB(shape, cfg.lam, width, rng, train=train,
                                   design_mode=cfg.design_mode)
     if algo == "neural_greedy":
         return policies.NeuralUCB(shape, cfg.lam, None, rng, train=_training_config(cfg),
                                   epsilon=cfg.epsilon)
     if algo == "neural_ucb0":
-        width = RidgeWidth(cfg.nu, cfg.delta, cfg.s_norm, cfg.lam)
         return policies.NeuralUCB0(*policies.gradient_feature_map(shape, rng), cfg.lam, width,
                                    design_mode=cfg.design_mode)
     if algo == "neural_greedy0":

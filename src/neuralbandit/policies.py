@@ -7,9 +7,9 @@ Each scores an arm by its predicted mean, plus a width gamma times the root
 of the arm's posterior variance, and with probability epsilon plays a
 uniform arm instead.  select makes one pass over the K arms: NeuralUCB
 runs one forward pass for the means and the gradients, and a learner with a
-design makes one design call for the K variances.  The width is None for
-none, a number, or a schedule (t, logdet) -> gamma, and only a schedule
-reads the learner's log-det.
+design makes one design call for the K variances.  The width is None, a
+number, or a schedule (t, logdet) -> gamma, such as a theoretical width
+from confidence; only a schedule reads the learner's log-det.
 Every policy, the baseline too, shares one update, which checks the chosen
 context and reward and counts the round.
 Every policy exposes
@@ -308,9 +308,9 @@ class NeuralUCB0(_Policy):
     Means are phi^T (theta - theta0), with the closed-form ridge estimate, and
     the features are phi itself, so the UCB score is the maximum of the linear
     objective over the confidence ellipsoid.  With gradient_feature_map this is
-    the linearized NeuralUCB; with the identity map and a number for the width it
-    is LinUCB; with no width and epsilon > 0 it is epsilon-greedy on the ridge
-    predictions.
+    the linearized NeuralUCB; with the identity map it is LinUCB, which is OFUL
+    under RidgeWidth; with no width and epsilon > 0 it is epsilon-greedy on the
+    ridge predictions.
     """
 
     def __init__(self, feature_map, feature_dim, lam, width, design_mode="full",

@@ -37,9 +37,10 @@ def test_run_synthetic_script_runs_every_algorithm(tmp_path):
 
 
 PAPER = ROOT / "configs" / "paper"
-# the base config each grid file varies, as acceptance criterion 9 pairs them
-GRID_BASES = {"gamma_grid.json": "neural_ucb", "epsilon_grid.json": "neural_greedy",
-              "lin_ucb_gamma_grid.json": "lin_ucb"}
+# the base configs each grid file varies: acceptance criterion 9's pairs, and
+# NeuralUCB0 tuned on NeuralUCB's gamma grid
+GRID_BASES = {"gamma_grid.json": ("neural_ucb", "neural_ucb0"),
+              "epsilon_grid.json": ("neural_greedy",), "lin_ucb_gamma_grid.json": ("lin_ucb",)}
 
 
 def paper_file(name):
@@ -57,9 +58,11 @@ def test_paper_config_validates(algorithm):
     assert ExperimentConfig.from_dict(data).validate() == []
 
 
-@pytest.mark.parametrize("grid_name", sorted(GRID_BASES))
-def test_paper_grid_runs_on_its_base_config(grid_name, tmp_path, capsys):
-    data = paper_file(f"{GRID_BASES[grid_name]}.json")
+@pytest.mark.parametrize("grid_name,base", [
+    pytest.param(grid_name, base, id=grid_name if base == bases[0] else f"{grid_name}-{base}")
+    for grid_name, bases in sorted(GRID_BASES.items()) for base in bases])
+def test_paper_grid_runs_on_its_base_config(grid_name, base, tmp_path, capsys):
+    data = paper_file(f"{base}.json")
     data["environment"]["horizon"] = 60
     data["repetitions"] = 1
     config = tmp_path / "config.json"

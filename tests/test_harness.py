@@ -1,7 +1,6 @@
 """Tests for experiment orchestration, grids, and result emission."""
 
 import dataclasses
-import itertools
 import json
 import math
 import re
@@ -169,8 +168,10 @@ class TestRunExperiment:
             assert results[0].instant_regret.shape == (8,)
 
 
-# one out-of-range value per PolicyConfig field, and the fields each algorithm reads;
-# preprocess=False is out of range for the odd dimension the test environment uses
+# one out-of-range value per PolicyConfig field, the fields each algorithm reads at
+# a number for gamma (the default 0.1), and those its theoretical schedule reads
+# under a null gamma; preprocess=False is out of range for the odd dimension the
+# test environment uses
 BAD_POLICY_VALUES = {
     "width": 7, "depth": 1, "lam": 0.0, "design_mode": "sparse",
     "preprocess": False, "gamma": -1.0, "epsilon": 1.5,
@@ -184,12 +185,26 @@ TRAINING_FIELDS = ("eta", "j_steps", "batch_size", "cadence", "train_start")
 FIELDS_READ = {
     "neural_ucb": NETWORK_FIELDS + DESIGN_FIELDS + TRAINING_FIELDS + ("gamma",),
     "neural_greedy": NETWORK_FIELDS + TRAINING_FIELDS + ("epsilon",),
-    "neural_ucb0": NETWORK_FIELDS + DESIGN_FIELDS + ("nu", "delta", "s_norm"),
+    "neural_ucb0": NETWORK_FIELDS + DESIGN_FIELDS + ("gamma",),
     "neural_greedy0": NETWORK_FIELDS + DESIGN_FIELDS + ("epsilon",),
     "lin_ucb": ("lam", "gamma"),
     "kernel_ucb": ("lam", "kernel_bandwidth", "gamma", "kernel_cap"),
     "random": (),
 }
+SCHEDULE_FIELDS = ("nu", "delta", "s_norm")
+FIELDS_READ_UNDER_NULL = {"neural_ucb": SCHEDULE_FIELDS, "neural_ucb0": SCHEDULE_FIELDS,
+                          "lin_ucb": SCHEDULE_FIELDS}
+# (algorithm, field, gamma) for every field an algorithm reads, at a gamma that reads it
+FIELD_CASES = [(algorithm, name, gamma)
+               for fields_read, gamma in ((FIELDS_READ, 0.1), (FIELDS_READ_UNDER_NULL, None))
+               for algorithm, names in fields_read.items() for name in names]
+
+
+def field_params(cases):
+    """The cases as pytest params, with gamma in the id only when it is null."""
+    return [pytest.param(algorithm, name, gamma, *rest,
+                         id="-".join([algorithm, name] + ["null"] * (gamma is None) + rest))
+            for algorithm, name, gamma, *rest in cases]
 
 
 PAPER_CONFIGS = Path(__file__).resolve().parent.parent / "configs" / "paper"
@@ -212,8 +227,8 @@ NON_FINITE_OR_NON_NUMBER = {"nan": (math.nan, "must be finite"),
                             "none": (None, "must be a real number")}
 
 
-def policy_errors(algorithm, field_name, value):
-    policy = PolicyConfig(algorithm=algorithm, **{field_name: value})
+def policy_errors(algorithm, field_name, value, gamma=0.1):
+    policy = PolicyConfig(algorithm=algorithm, **{"gamma": gamma, field_name: value})
     config = ExperimentConfig(
         environment=EnvironmentConfig(kind="h1", dimension=5, horizon=5),
         policy=policy, repetitions=1,
@@ -257,7 +272,7 @@ class TestValidation:
         assert not {field_name, parameter} & set(re.findall(r"\w+", match.group(4))), error
 
     def test_every_policy_field_is_read_by_some_algorithm(self):
-        read = set(itertools.chain.from_iterable(FIELDS_READ.values()))
+        read = {name for _, name, _ in FIELD_CASES}
         fields = {f.name for f in dataclasses.fields(PolicyConfig)} - {"algorithm"}
         assert read == fields == set(BAD_POLICY_VALUES)
 
@@ -266,34 +281,30 @@ class TestValidation:
         data = json.loads((PAPER_CONFIGS / f"{algorithm}.json").read_text(encoding="utf-8"))
         assert set(data["policy"]) - {"algorithm"} <= set(FIELDS_READ[algorithm])
 
-    @pytest.mark.parametrize("algorithm,field_name", [
-        (algorithm, name) for algorithm, names in FIELDS_READ.items() for name in names
-    ])
-    def test_out_of_range_field_is_named(self, algorithm, field_name):
-        errors = policy_errors(algorithm, field_name, BAD_POLICY_VALUES[field_name])
+    @pytest.mark.parametrize("algorithm,field_name,gamma", field_params(FIELD_CASES))
+    def test_out_of_range_field_is_named(self, algorithm, field_name, gamma):
+        errors = policy_errors(algorithm, field_name, BAD_POLICY_VALUES[field_name], gamma)
         assert len(errors) == 1 and f"policy.{field_name}" in errors[0], errors
 
-    @pytest.mark.parametrize("algorithm,field_name", [
-        (algorithm, name) for algorithm, names in FIELDS_READ.items() for name in names
-        if name in NON_INTEGER_POLICY_VALUES
-    ])
-    def test_non_integer_count_field_is_named(self, algorithm, field_name):
-        errors = policy_errors(algorithm, field_name, NON_INTEGER_POLICY_VALUES[field_name])
+    @pytest.mark.parametrize("algorithm,field_name,gamma", field_params(
+        case for case in FIELD_CASES if case[1] in NON_INTEGER_POLICY_VALUES))
+    def test_non_integer_count_field_is_named(self, algorithm, field_name, gamma):
+        errors = policy_errors(algorithm, field_name, NON_INTEGER_POLICY_VALUES[field_name],
+                               gamma)
         assert len(errors) == 1 and f"policy.{field_name}" in errors[0], errors
         assert "must be an integer" in errors[0]
 
-    @pytest.mark.parametrize("algorithm,field_name,kind", [
-        (algorithm, name, kind) for algorithm, names in FIELDS_READ.items() for name in names
+    @pytest.mark.parametrize("algorithm,field_name,gamma,kind", field_params(
+        (algorithm, name, gamma, kind) for algorithm, name, gamma in FIELD_CASES
         if name in REAL_POLICY_FIELDS for kind in NON_FINITE_OR_NON_NUMBER
         # an infinite kernel bandwidth is the constant-kernel limit KernelUCB accepts,
-        # and a null gamma gives neural_ucb its theoretical width; lin_ucb and
-        # kernel_ucb have none, so a null gamma must not leave them greedy
+        # and a null gamma is the theoretical schedule of an algorithm that has one
         if (name, kind) != ("kernel_bandwidth", "inf")
-        and (algorithm, name, kind) != ("neural_ucb", "gamma", "none")
-    ])
-    def test_non_finite_or_non_number_real_field_is_named(self, algorithm, field_name, kind):
+        and not ((name, kind) == ("gamma", "none") and algorithm in FIELDS_READ_UNDER_NULL)))
+    def test_non_finite_or_non_number_real_field_is_named(self, algorithm, field_name, gamma,
+                                                         kind):
         value, message = NON_FINITE_OR_NON_NUMBER[kind]
-        errors = policy_errors(algorithm, field_name, value)
+        errors = policy_errors(algorithm, field_name, value, gamma)
         assert len(errors) == 1 and f"policy.{field_name}" in errors[0], errors
         assert message in errors[0]
 
@@ -369,6 +380,41 @@ class TestValidation:
         assert isinstance(built.schedule, NeuralWidth)
         assert built.gamma == expected(0, 0.0)
         assert built.schedule(7, 1.5) == expected(7, 1.5)
+
+    @pytest.mark.parametrize("algorithm", ["lin_ucb", "neural_ucb0"])
+    def test_null_gamma_builds_the_ridge_schedule_and_a_number_reads_no_log_det(self,
+                                                                              algorithm):
+        fields = dict(algorithm=algorithm, width=4, preprocess=False, lam=0.5, nu=0.3,
+                      delta=0.2, s_norm=2.0)
+        null, number = (harness._build_policy(PolicyConfig(gamma=gamma, **fields),
+                                              SimpleNamespace(d=2), np.random.default_rng(0))
+                        for gamma in (None, 0.7))
+        expected = RidgeWidth(0.3, 0.2, 2.0, 0.5)
+        assert type(null.schedule) is RidgeWidth and vars(null.schedule) == vars(expected)
+        assert null.gamma == expected(0, 0.0)
+        assert number.schedule is None and number.gamma == 0.7
+        reads = {}
+        for name, policy in (("null", null), ("number", number)):
+            def counted(name=name, read=policy.design.log_det_ratio):
+                reads[name] = reads.get(name, 0) + 1
+                return read()
+            policy.design.log_det_ratio = counted
+            rng = np.random.default_rng(1)
+            for _ in range(3):
+                contexts = rng.standard_normal((3, 2))
+                action, _ = policy.select(contexts)
+                policy.update(contexts[action], 1.0)
+        assert reads == {"null": 3}
+        assert null.gamma == expected(3, null.design.log_det_ratio()) > expected(0, 0.0)
+
+    def test_kernel_ucb_still_rejects_a_null_gamma(self):
+        assert policy_errors("kernel_ucb", "gamma", None) == [
+            "policy.gamma: must be a real number, got None"]
+
+    @pytest.mark.parametrize("algorithm", ["neural_greedy", "neural_greedy0"])
+    def test_greedy_algorithms_read_no_schedule_field_under_a_null_gamma(self, algorithm):
+        for name in SCHEDULE_FIELDS:
+            assert policy_errors(algorithm, name, BAD_POLICY_VALUES[name], gamma=None) == []
 
 
 class TestEmitResults:

@@ -39,12 +39,14 @@ VARIANTS = {
     "neural_ucb-gamma-null": dict(algorithm="neural_ucb", gamma=None),
     "neural_greedy-eps0.05": dict(algorithm="neural_greedy", epsilon=0.05),
     "neural_greedy-eps0": dict(algorithm="neural_greedy", epsilon=0.0),
-    "neural_ucb0-full": dict(algorithm="neural_ucb0"),
-    "neural_ucb0-diagonal": dict(algorithm="neural_ucb0", design_mode="diagonal"),
+    "neural_ucb0-full": dict(algorithm="neural_ucb0", gamma=None),
+    "neural_ucb0-diagonal": dict(algorithm="neural_ucb0", gamma=None, design_mode="diagonal"),
+    "neural_ucb0-gamma0.1": dict(algorithm="neural_ucb0", gamma=0.1),
     "neural_greedy0-full": dict(algorithm="neural_greedy0"),
     "neural_greedy0-diagonal": dict(algorithm="neural_greedy0", design_mode="diagonal"),
     "lin_ucb-raw": dict(algorithm="lin_ucb", gamma=1.0),
     "lin_ucb-preprocess": dict(algorithm="lin_ucb", gamma=1.0, preprocess=True),
+    "lin_ucb-gamma-null": dict(algorithm="lin_ucb", gamma=None),
     "kernel_ucb": dict(algorithm="kernel_ucb", gamma=1.0),
     "random": dict(algorithm="random"),
 }
@@ -95,6 +97,10 @@ EXPECTED = {
         "3ac712739ea64ab8db43da423dbe327ac795d33050c6bd5299ade64bf04cd49f",
         "433cb3b2b6f2e9cb72b1ad1489b2bbdfc13163653ca3ccd6345c784faacd4a57",
     ],
+    "h1/neural_ucb0-gamma0.1": [
+        "a819ae87a87682dfdc2c2c7a2ab52b871cd0ea2e6b5c3c30b1990f74cafdf83d",
+        "d52e8c5d66b7d676edaa23aae30795ea3215943ba04cfb32469179290077b13b",
+    ],
     "h1/neural_greedy0-full": [
         "7c764273ba70a1ed94fc539420cb9f7bc9170d8ef3cefd4a553ece64f1941807",
         "806e93fe6c8755d3f266bce9869218aa730faa3d8dde1e8c6a0a27bb256c53fd",
@@ -110,6 +116,10 @@ EXPECTED = {
     "h1/lin_ucb-preprocess": [
         "223ffc66d99506f4fc828b6ba8f1955e7d6e312abd56b9df78fa76e81a8a695a",
         "bfd840143c8d8b6e2c66d734a962e40c3d79cda8cf9adfcf0fcbf2e6d84fc547",
+    ],
+    "h1/lin_ucb-gamma-null": [
+        "5c26dba99cdeb529d11c31d50c3102d30b0506e9505ba78fb99f7af9ca46806d",
+        "591118d4c190335d74386e4651243f547e0aa4d19356c318371104bb7c8454bc",
     ],
     "h1/kernel_ucb": [
         "77c1ab3517b5e8ab3f09a9d1c7119b37287d7aca0a1c3187c0543d66fab1c26a",
@@ -147,6 +157,10 @@ EXPECTED = {
         "4fc75ff3fd3cf58491aa6bb05a1fbd569ee371ddd03813f1606cc23003e216ec",
         "e17da0cd516f46907c2c46b4548f78c6036b4f3d9bb21eeb14e441dc743c8fef",
     ],
+    "h3/neural_ucb0-gamma0.1": [
+        "dada3405b9a4163e8a415aa1e87326501f6ac69dd1ab56016410991af828c91b",
+        "8750955a825022eb7ac15000d2c3c1d5cd33b7b9c6cb79c5eb80146dbd491088",
+    ],
     "h3/neural_greedy0-full": [
         "dc7df10cf5c14f1df1b93428bea0236694c66ee07fb5610d4a050a91ae79e101",
         "f18b2988b8a055ca91654af6e8b4c3f264e0dc9d764e986d81f168e8c267dd36",
@@ -162,6 +176,10 @@ EXPECTED = {
     "h3/lin_ucb-preprocess": [
         "77468a3716b36a96d2c5bb868e9dd6f7684c4a63e6d6fc973d6f36ad1b308205",
         "0664964193569c05498b7cd3528ed9b5d4159d64d2181f5c57ffac3df4028cc7",
+    ],
+    "h3/lin_ucb-gamma-null": [
+        "54e78f4dbe79b37cfaa8de00c16e246ea8ecb4af9159c461fe290277d6ce1166",
+        "65e3ecb8f7dfaff9409c92ffafc55467ce0ed1e6734711d8124f5f8f07b4a27e",
     ],
     "h3/kernel_ucb": [
         "8e1017b32035c85bdd63160f182919def629ff820cc9f1f6f7317e14073de616",
