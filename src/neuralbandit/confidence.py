@@ -26,15 +26,11 @@ number, and only a schedule makes a policy read the log-det.
 import functools
 import math
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from neuralbandit.network import (NetworkShape, check_array, check_integer, check_positive,
                                   check_real)
-
-if TYPE_CHECKING:
-    from neuralbandit.policies import TrainingConfig
 
 __all__ = [
     "DesignMatrix",
@@ -204,7 +200,11 @@ def _symmetric_copy(upper: np.ndarray) -> np.ndarray:
 
 
 class RidgeWidth:
-    """Closed-form ridge width: nu * sqrt(logdet - 2 log delta) + sqrt(lam) * S."""
+    """Closed-form ridge width: nu * sqrt(logdet - 2 log delta) + sqrt(lam) * S.
+
+    A call whose width is not finite raises ValueError naming nu when the
+    first term is not finite, and s_norm otherwise.
+    """
 
     def __init__(self, nu: float, delta: float, s_norm: float, lam: float):
         check_positive("nu", nu)
@@ -219,8 +219,13 @@ class RidgeWidth:
         self.lam = lam
 
     def __call__(self, t: int, logdet: float) -> float:
-        return self.nu * math.sqrt(logdet - 2.0 * math.log(self.delta)) \
-            + math.sqrt(self.lam) * self.s_norm
+        spread = self.nu * math.sqrt(logdet - 2.0 * math.log(self.delta))
+        gamma = spread + math.sqrt(self.lam) * self.s_norm
+        if not math.isfinite(gamma):
+            name = "s_norm" if math.isfinite(spread) else "nu"
+            raise ValueError(f"{name} must be small enough that the width is finite, "
+                             f"got {getattr(self, name)} (width {gamma})")
+        return gamma
 
 
 class NeuralWidth:
@@ -232,21 +237,24 @@ class NeuralWidth:
     approx = mfac L^3.5 t^(5/3) lam^(-5/3) (1 + sqrt(t / lam)) carry the factor
     mfac = m^(-1/6) sqrt(log m) of the width m, and decay =
     (1 - eta m lam)^(J/2) sqrt(t / lam) is the optimization error of J gradient
-    steps, with J = t when the training config leaves j_steps unset.
+    steps of size eta, with J = t when j_steps is None.
 
     The paper proves absolute constants C1, C2, C3 exist in front of w, w' and
     t L but never fixes them; here they are 1.  Their values change no
     action: the width terms make gamma_t about 5.7e5 at t = 1 and 1.5e16 at
     t = 2000 on the h1 protocol (m = 20, L = 2, lam = 0.01), and runs with
-    other constants gave identical regret.  Every input has been checked by
-    the ridge width, the network shape or the training config; the checks
-    here are eta * m * lam < 1, which the decay term needs, and that
-    lam^(-5/3), the largest of the fixed powers of lam, is finite.  A call
-    whose width is not finite raises ValueError naming lam.
+    other constants gave identical regret.  The ridge width and the shape
+    check their own inputs; the checks here are those of eta and j_steps,
+    that eta * m * lam < 1, which the decay term needs, and that lam^(-5/3),
+    the largest of the fixed powers of lam, is finite.  A width that is not
+    finite raises ValueError naming lam, or the ridge width's nu or s_norm.
     """
 
-    def __init__(self, ridge: RidgeWidth, shape: NetworkShape, train: "TrainingConfig"):
-        decay_base = train.eta * shape.width * ridge.lam
+    def __init__(self, ridge: RidgeWidth, shape: NetworkShape, eta: float, j_steps: int | None):
+        check_positive("eta", eta)
+        if j_steps is not None:
+            check_integer("j_steps", j_steps, low=0)
+        decay_base = eta * shape.width * ridge.lam
         if decay_base >= 1.0:
             raise ValueError(
                 f"eta*width*lam = {decay_base:.6g} >= 1: step size too large for the "
@@ -259,7 +267,8 @@ class NeuralWidth:
                              f"got {ridge.lam}") from None
         self.ridge = ridge
         self.shape = shape
-        self.train = train
+        self.eta = eta
+        self.j_steps = j_steps
 
     def __call__(self, t: int, logdet: float) -> float:
         if t < 0:
@@ -267,15 +276,17 @@ class NeuralWidth:
         if logdet < 0:
             raise ValueError(f"logdet must be nonnegative, got {logdet}")
         lam, m, L = self.ridge.lam, self.shape.width, self.shape.depth
-        j = t if self.train.j_steps is None else self.train.j_steps
+        j = t if self.j_steps is None else self.j_steps
         mfac = m ** (-1.0 / 6.0) * math.sqrt(math.log(m))
         try:
             front = math.sqrt(1.0 + mfac * L**4 * t ** (7.0 / 6.0) * lam ** (-7.0 / 6.0))
             shift = mfac * L**4 * t ** (5.0 / 3.0) * lam ** (-1.0 / 6.0)
-            decay = (1.0 - self.train.eta * m * lam) ** (j / 2.0) * math.sqrt(t / lam)
+            decay = (1.0 - self.eta * m * lam) ** (j / 2.0) * math.sqrt(t / lam)
             approx = mfac * L ** 3.5 * t ** (5.0 / 3.0) * lam ** (-5.0 / 3.0) \
                 * (1.0 + math.sqrt(t / lam))
-            gamma = front * self.ridge(t, logdet + shift) + (lam + t * L) * (decay + approx)
+            gamma = (lam + t * L) * (decay + approx)
+            if math.isfinite(gamma):  # the shift overflows only with this term, which is lam's
+                gamma += front * self.ridge(t, logdet + shift)
         except OverflowError:  # a round t beyond the float range
             gamma = math.inf
         if not math.isfinite(gamma):

@@ -203,35 +203,27 @@ def _build_policy(cfg: PolicyConfig, env, rng):
         check_real("gamma", cfg.gamma, low=0)  # no kernel schedule; null would leave it greedy
         return policies.KernelUCB(cfg.kernel_bandwidth, cfg.gamma, lam=cfg.lam,
                                   cap=cfg.kernel_cap)
-    width = cfg.gamma  # a number is a constant width, and null the algorithm's schedule
-    if width is None and algo in ("neural_ucb", "neural_ucb0", "lin_ucb"):
+    # a number is a constant width, and null the algorithm's schedule; the
+    # greedy algorithms play the config's epsilon with no width
+    width, epsilon = cfg.gamma, 0.0
+    if algo in ("neural_greedy", "neural_greedy0"):
+        width, epsilon = None, cfg.epsilon
+    elif width is None:
         width = RidgeWidth(cfg.nu, cfg.delta, cfg.s_norm, cfg.lam)  # OFUL's, for lin_ucb
     if algo == "lin_ucb":
         return policies.NeuralUCB0(lambda x: x, dim, cfg.lam, width)
     shape = NetworkShape(input_dim=dim, width=cfg.width, depth=cfg.depth)
-    if algo == "neural_ucb":
-        train = _training_config(cfg)
-        if cfg.gamma is None:
-            width = NeuralWidth(width, shape, train)
-        return policies.NeuralUCB(shape, cfg.lam, width, rng, train=train,
-                                  design_mode=cfg.design_mode)
-    if algo == "neural_greedy":
-        return policies.NeuralUCB(shape, cfg.lam, None, rng, train=_training_config(cfg),
-                                  epsilon=cfg.epsilon)
-    if algo == "neural_ucb0":
+    if algo in ("neural_ucb", "neural_greedy"):
+        if isinstance(width, RidgeWidth):  # neural_ucb's schedule inflates the ridge width
+            width = NeuralWidth(width, shape, cfg.eta, cfg.j_steps)
+        return policies.NeuralUCB(shape, cfg.lam, width, rng, eta=cfg.eta, j_steps=cfg.j_steps,
+                                  batch_size=cfg.batch_size, cadence=cfg.cadence,
+                                  train_start=cfg.train_start, design_mode=cfg.design_mode,
+                                  epsilon=epsilon)
+    if algo in ("neural_ucb0", "neural_greedy0"):
         return policies.NeuralUCB0(*policies.gradient_feature_map(shape, rng), cfg.lam, width,
-                                   design_mode=cfg.design_mode)
-    if algo == "neural_greedy0":
-        return policies.NeuralUCB0(*policies.gradient_feature_map(shape, rng), cfg.lam, None,
-                                   design_mode=cfg.design_mode, epsilon=cfg.epsilon, rng=rng)
+                                   design_mode=cfg.design_mode, epsilon=epsilon, rng=rng)
     raise ConfigError([f"policy.algorithm: unknown algorithm {algo!r}"])
-
-
-def _training_config(cfg: PolicyConfig) -> policies.TrainingConfig:
-    return policies.TrainingConfig(
-        eta=cfg.eta, j_steps=cfg.j_steps, batch_size=cfg.batch_size,
-        cadence=cfg.cadence, train_start=cfg.train_start,
-    )
 
 
 def _checked(config: ExperimentConfig, datasets=None) -> tuple:

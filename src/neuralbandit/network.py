@@ -204,23 +204,18 @@ def init_plain(shape: NetworkShape, rng: np.random.Generator) -> NetworkParams:
 
 
 def _forward_pass(params: NetworkParams, x: np.ndarray):
-    """Shared forward over a batch of rows; returns activations and preactivations."""
+    """Shared forward over a batch of rows; returns the outputs and (x, a_1, ..., a_{L-1})."""
     acts = [x]
-    pres = []
-    a = x
     for w in params.weights[:-1]:
-        z = a @ w.T
-        pres.append(z)
-        a = np.maximum(z, 0.0)
-        acts.append(a)
+        acts.append(np.maximum(acts[-1] @ w.T, 0.0))
     out = math.sqrt(params.shape.width) * (acts[-1] @ params.weights[-1].ravel())
-    return out, acts, pres
+    return out, acts
 
 
 def forward_batch(params: NetworkParams, x) -> np.ndarray:
     """Evaluate f on each row of x; returns a length-n vector."""
     x = check_array("x", x, 2, params.shape.input_dim)
-    out, _, _ = _forward_pass(params, x)
+    out, _ = _forward_pass(params, x)
     return out
 
 
@@ -230,14 +225,15 @@ def _backprop(params: NetworkParams, x: np.ndarray, seed: np.ndarray):
     Returns the outputs f(x_i), the activations (x, a_1, ..., a_{L-1}) and
     the (n, m) deltas d_1, ..., d_{L-1} of the hidden layers:
     outer(d_l[i], a_{l-1}[i]) is seed_i times the gradient of f(x_i) w.r.t.
-    W_l.  The ReLU derivative at an exact zero preactivation is taken as 0.
+    W_l.  The ReLU derivative at an exact zero preactivation is taken as 0,
+    so its mask is a_l > 0, which holds exactly where the preactivation is > 0.
     """
-    out, acts, pres = _forward_pass(params, x)
+    out, acts = _forward_pass(params, x)
     delta = (math.sqrt(params.shape.width) * seed)[:, None] \
-        * params.weights[-1].ravel()[None, :] * (pres[-1] > 0)
+        * params.weights[-1].ravel()[None, :] * (acts[-1] > 0)
     deltas = [delta]
     for l in range(params.shape.depth - 2, 0, -1):
-        delta = (delta @ params.weights[l]) * (pres[l - 1] > 0)
+        delta = (delta @ params.weights[l]) * (acts[l] > 0)
         deltas.append(delta)
     deltas.reverse()
     return out, acts, deltas

@@ -1,7 +1,8 @@
 """Bandit policies: three learners under one UCB choice rule, and a random baseline.
 
 The UCB policies are learners that share one select: NeuralUCB retrains a
-reward network online, NeuralUCB0 runs ridge regression on frozen features
+reward network online, as its keywords eta, j_steps, batch_size, cadence and
+train_start set, NeuralUCB0 runs ridge regression on frozen features
 (LinUCB on the identity map), and KernelUCB runs kernel ridge regression.
 Each scores an arm by its predicted mean, plus a width gamma times the root
 of the arm's posterior variance, and with probability epsilon plays a
@@ -24,7 +25,6 @@ a bit-identical action sequence.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from neuralbandit.network import (
 
 __all__ = [
     "DivergenceError",
-    "TrainingConfig",
     "train_nn",
     "NeuralUCB",
     "NeuralUCB0",
@@ -61,32 +60,6 @@ _INITIAL_ROWS = 64  # NeuralUCB's training-data capacity before its first doubli
 
 class DivergenceError(RuntimeError):
     """Gradient descent produced a non-finite loss."""
-
-
-@dataclass(frozen=True)
-class TrainingConfig:
-    """How and when the reward network is retrained.
-
-    j_steps None means "as many steps as there are rounds so far".
-    batch_size None selects full-gradient descent; otherwise stochastic
-    minibatches of that size, sampled without replacement per epoch.
-    Every retrain starts from the initial parameters.
-    """
-
-    eta: float = 0.01
-    j_steps: int | None = None
-    batch_size: int | None = None
-    cadence: int = 50
-    train_start: int = 0
-
-    def __post_init__(self):
-        check_positive("eta", self.eta)
-        if self.j_steps is not None:
-            check_integer("j_steps", self.j_steps, low=0)
-        if self.batch_size is not None:
-            check_integer("batch_size", self.batch_size, low=1)
-        check_integer("cadence", self.cadence, low=1)
-        check_integer("train_start", self.train_start, low=0)
 
 
 def train_nn(lam, eta, j_steps, contexts, rewards, theta0, batch_size=None, rng=None):
@@ -240,15 +213,33 @@ class NeuralUCB(_Policy):
     context and its reward, kept in arrays that double when full, so a
     caller may reuse its context buffer and a retrain slices the data
     without rebuilding it.
+
+    The training keywords have no defaults.  From round train_start on
+    (round 1 at the earliest), every cadence-th round retrains the network
+    from theta0 by train_nn: j_steps steps of size eta (j_steps None: t
+    steps at round t), on minibatches of batch_size rows sampled without
+    replacement per epoch (batch_size None: full-gradient descent).
     """
 
-    def __init__(self, shape: NetworkShape, lam: float, width, rng: np.random.Generator,
-                 train: TrainingConfig = TrainingConfig(), design_mode="full", epsilon=0.0):
+    def __init__(self, shape: NetworkShape, lam: float, width, rng: np.random.Generator, *,
+                 eta, j_steps, batch_size, cadence, train_start, design_mode="full",
+                 epsilon=0.0):
         super().__init__(width, epsilon, rng)
         check_positive("lam", lam)
+        check_positive("eta", eta)
+        if j_steps is not None:
+            check_integer("j_steps", j_steps, low=0)
+        if batch_size is not None:
+            check_integer("batch_size", batch_size, low=1)
+        check_integer("cadence", cadence, low=1)
+        check_integer("train_start", train_start, low=0)
         self.shape = shape
         self.lam = lam
-        self.train_config = train
+        self.eta = eta
+        self.j_steps = j_steps
+        self.batch_size = batch_size
+        self.cadence = cadence
+        self.train_start = train_start
         self.theta0 = init_symmetric(shape, rng)
         self.theta = self.theta0
         self._contexts = np.empty((_INITIAL_ROWS, shape.input_dim))
@@ -280,14 +271,13 @@ class NeuralUCB(_Policy):
         self._rewards[n] = reward
         self._rows = n + 1
         t = self.t
-        cfg = self.train_config
-        if t < max(cfg.train_start, 1) or t % cfg.cadence != 0:
+        if t < max(self.train_start, 1) or t % self.cadence != 0:
             return
-        j = t if cfg.j_steps is None else cfg.j_steps
+        j = t if self.j_steps is None else self.j_steps
         x, r = self.training_data
         self.theta, _ = train_nn(
-            self.lam, cfg.eta, j, x, r, self.theta0,
-            batch_size=cfg.batch_size, rng=self.rng,
+            self.lam, self.eta, j, x, r, self.theta0,
+            batch_size=self.batch_size, rng=self.rng,
         )
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from scipy.linalg.lapack import dpotrf, dpotri
 
 from neuralbandit.confidence import DesignMatrix, NeuralWidth, RidgeWidth
 from neuralbandit.network import NetworkShape
-from neuralbandit.policies import TrainingConfig
 
 
 def direct_log_det_ratio(z: np.ndarray, lam: float) -> float:
@@ -317,8 +317,7 @@ class TestInvariants:
 
 def neural_width(lam=1.0, width=20, depth=2, eta=1e-5, j_steps=100):
     return NeuralWidth(RidgeWidth(nu=1.0, delta=0.1, s_norm=1.0, lam=lam),
-                       NetworkShape(input_dim=4, width=width, depth=depth),
-                       TrainingConfig(eta=eta, j_steps=j_steps))
+                       NetworkShape(input_dim=4, width=width, depth=depth), eta, j_steps)
 
 
 def reference_gamma(nu, delta, s, lam, m, L, eta, j, t, logdet):
@@ -346,8 +345,7 @@ class TestNeuralWidth:
     def test_round_zero_is_the_ridge_width(self, width):
         # at t = 0 every width term and the decay vanish exactly
         ridge = RidgeWidth(nu=0.7, delta=0.1, s_norm=2.0, lam=0.5)
-        gamma = NeuralWidth(ridge, NetworkShape(input_dim=4, width=width, depth=3),
-                            TrainingConfig(eta=1e-4, j_steps=None))
+        gamma = NeuralWidth(ridge, NetworkShape(input_dim=4, width=width, depth=3), 1e-4, None)
         for logdet in (0.0, 1.0, 7.3):
             assert gamma(0, logdet) == ridge(0, logdet)
 
@@ -382,12 +380,25 @@ class TestNeuralWidth:
             neural_width(eta=0.05)
 
     # at lam = 1e-150, lam^(-5/3) = 1e250 is finite, but the approximation term
-    # overflows from t = 1; a round beyond the float range overflows at any lam
-    @pytest.mark.parametrize("lam,t", [(1e-150, 1), (1e-150, 30), (1.0, 10**400)])
+    # overflows from t = 1; a round beyond the float range overflows at any lam;
+    # at lam = 1e-60 and t = 1e180 the log-det shift overflows with the approximation term
+    @pytest.mark.parametrize("lam,t", [(1e-150, 1), (1e-150, 30), (1.0, 10**400),
+                                       (1e-60, 10**180)])
     def test_width_that_is_not_finite_names_lam(self, lam, t):
         with pytest.raises(ValueError, match=rf"^lam must be large enough that the width is "
                                              rf"finite at t = {t}, got {lam}"):
             neural_width(lam=lam)(t, 0.0)
+
+    @pytest.mark.parametrize("fields,error,message", [
+        ({"eta": 0.0}, ValueError, "eta must be positive, got 0.0"),
+        ({"eta": math.inf}, ValueError, "eta must be finite, got inf"),
+        ({"eta": None}, TypeError, "eta must be a real number, got None"),
+        ({"j_steps": -1}, ValueError, "j_steps must be >= 0, got -1"),
+        ({"j_steps": 2.0}, TypeError, "j_steps must be an integer, got 2.0"),
+    ])
+    def test_bad_training_value_rejected(self, fields, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            neural_width(**fields)
 
     def test_lam_whose_fixed_powers_overflow_rejected(self):
         # 1e-190 ** (-5/3) overflows; the width at t = 0 would raise OverflowError
@@ -400,3 +411,16 @@ class TestWidthProviders:
     def test_ridge_width_value(self):
         ridge = RidgeWidth(nu=2.0, delta=math.exp(-0.5), s_norm=3.0, lam=4.0)
         assert ridge(9, 1.0) == pytest.approx(2.0 * math.sqrt(2.0) + 6.0)
+
+    # nu = 1e308 overflows the log-det term, s_norm = 1e308 the bias term, and
+    # at nu = 4e307 both terms are finite but their sum is not
+    @pytest.mark.parametrize("nu,s_norm,name,value", [
+        (1e308, 1.0, "nu", "1e+308"),
+        (1.0, 1e308, "s_norm", "1e+308"),
+        (4e307, 1e308, "s_norm", "1e+308"),
+    ])
+    def test_ridge_width_that_is_not_finite_names_the_field(self, nu, s_norm, name, value):
+        ridge = RidgeWidth(nu=nu, delta=0.1, s_norm=s_norm, lam=4.0)
+        with pytest.raises(ValueError, match=rf"^{name} must be small enough that the width "
+                                             rf"is finite, got {re.escape(value)} \(width inf\)$"):
+            ridge(0, 0.0)

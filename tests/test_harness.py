@@ -376,7 +376,7 @@ class TestValidation:
         built = harness._build_policy(policy, SimpleNamespace(d=2), np.random.default_rng(0))
         expected = NeuralWidth(RidgeWidth(policy.nu, policy.delta, policy.s_norm, policy.lam),
                                NetworkShape(input_dim=4, width=policy.width, depth=policy.depth),
-                               harness._training_config(policy))
+                               policy.eta, policy.j_steps)
         assert isinstance(built.schedule, NeuralWidth)
         assert built.gamma == expected(0, 0.0)
         assert built.schedule(7, 1.5) == expected(7, 1.5)
@@ -406,6 +406,19 @@ class TestValidation:
                 policy.update(contexts[action], 1.0)
         assert reads == {"null": 3}
         assert null.gamma == expected(3, null.design.log_det_ratio()) > expected(0, 0.0)
+
+    # nu = 1e308 makes the ridge width infinite at every round, which would score
+    # every arm inf and play arm 0 throughout
+    @pytest.mark.parametrize("algorithm", ["lin_ucb", "neural_ucb0", "neural_ucb"])
+    @pytest.mark.parametrize("name", ["nu", "s_norm"])
+    def test_null_gamma_width_that_is_not_finite_names_the_field(self, algorithm, name):
+        config = ExperimentConfig(
+            environment=EnvironmentConfig(kind="h1", dimension=4, num_actions=3, horizon=30),
+            policy=PolicyConfig(algorithm=algorithm, gamma=None, lam=4.0, **{name: 1e308}),
+            repetitions=1,
+        )
+        assert config.validate() == [f"policy.{name}: must be small enough that the width "
+                                     f"is finite, got 1e+308 (width inf)"]
 
     def test_kernel_ucb_still_rejects_a_null_gamma(self):
         assert policy_errors("kernel_ucb", "gamma", None) == [
@@ -627,6 +640,13 @@ class TestRunSingle:
         factory = lambda env, rng: (StopAtThirdUpdate(env), False)
         with pytest.raises(Stop):
             run_single(tiny_neural_config(horizon=10**40), 0, policy_factory=factory)
+
+    def test_unknown_algorithm_is_rejected_without_validation(self):
+        # validation rejects it first in a run; the builder's last line must too
+        config = ExperimentConfig(environment=EnvironmentConfig(horizon=2),
+                                  policy=PolicyConfig(algorithm="nope"), repetitions=1)
+        with pytest.raises(ConfigError, match="policy.algorithm: unknown algorithm 'nope'"):
+            run_single(config, 0)
 
     def test_secret_shared_across_reps(self):
         config = tiny_neural_config()

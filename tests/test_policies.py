@@ -25,7 +25,6 @@ from neuralbandit.policies import (
     KernelUCB,
     NeuralUCB,
     NeuralUCB0,
-    TrainingConfig,
     UniformRandomPolicy,
     gradient_feature_map,
     train_nn,
@@ -37,7 +36,8 @@ def duplicated_contexts(n, d_half, seed):
     return preprocess_batch(raw)
 
 
-FAST_TRAIN = TrainingConfig(eta=1e-3, j_steps=5, batch_size=None, cadence=10)
+# NeuralUCB's training keywords for a quick full-gradient retrain every 10 rounds
+FAST_TRAIN = dict(eta=1e-3, j_steps=5, batch_size=None, cadence=10, train_start=0)
 
 
 def lin_ucb(d, gamma, lam=1.0):
@@ -215,8 +215,8 @@ class TestTrainNN:
 class TestNeuralUCB:
     def fresh_policy(self, gamma=0.5, seed=60, **kwargs):
         shape = NetworkShape(8, 8, 2)
-        return NeuralUCB(shape, 1.0, gamma, np.random.default_rng(seed), train=FAST_TRAIN,
-                         **kwargs)
+        return NeuralUCB(shape, 1.0, gamma, np.random.default_rng(seed),
+                         **{**FAST_TRAIN, **kwargs})
 
     def test_fresh_selection_maximizes_gradient_norm(self):
         policy = self.fresh_policy(gamma=0.7)
@@ -278,7 +278,7 @@ class TestNeuralUCB:
         reused, copied = self.fresh_policy(seed=67), self.fresh_policy(seed=67)
         rng = np.random.default_rng(68)
         buffer = np.empty((3, 8))
-        for t in range(FAST_TRAIN.cadence):
+        for t in range(FAST_TRAIN["cadence"]):
             buffer[:] = preprocess_batch(rng.standard_normal((3, 4)))
             action, _ = reused.select(buffer)
             assert copied.select(buffer.copy())[0] == action
@@ -289,8 +289,7 @@ class TestNeuralUCB:
         assert reused.theta.flat.tobytes() == copied.theta.flat.tobytes()
 
     def test_zero_training_steps_keeps_initial_parameters(self):
-        policy = self.fresh_policy()
-        policy.train_config = TrainingConfig(eta=1e-3, j_steps=0, cadence=1)
+        policy = self.fresh_policy(j_steps=0, cadence=1)
         contexts = duplicated_contexts(3, 4, 66)
         for _ in range(5):
             action, _ = policy.select(contexts)
@@ -301,9 +300,9 @@ class TestNeuralUCB:
 
     def test_matches_greedy_when_exploration_is_off(self):
         shape = NetworkShape(8, 8, 2)
-        train = TrainingConfig(eta=1e-3, j_steps=10, batch_size=None, cadence=5)
-        ucb = NeuralUCB(shape, 1.0, 0.0, np.random.default_rng(67), train=train)
-        greedy = NeuralUCB(shape, 1.0, None, np.random.default_rng(67), train=train)
+        train = {**FAST_TRAIN, "j_steps": 10, "cadence": 5}
+        ucb = NeuralUCB(shape, 1.0, 0.0, np.random.default_rng(67), **train)
+        greedy = NeuralUCB(shape, 1.0, None, np.random.default_rng(67), **train)
         stream = np.random.default_rng(68)
         secret = stream.standard_normal(8)
         actions_u, actions_g = [], []
@@ -328,9 +327,7 @@ class TestNeuralUCB:
 
     def test_deterministic_under_fixed_seed(self):
         def run(seed):
-            policy = self.fresh_policy(seed=seed)
-            policy.train_config = TrainingConfig(eta=1e-3, j_steps=5,
-                                                 batch_size=2, cadence=5)
+            policy = self.fresh_policy(seed=seed, batch_size=2, cadence=5)
             stream = np.random.default_rng(70)
             actions = []
             for _ in range(20):
@@ -342,13 +339,39 @@ class TestNeuralUCB:
 
         assert run(7) == run(7)
 
+    @pytest.mark.parametrize("name,value,error,message", [
+        ("eta", 0.0, ValueError, "eta must be positive, got 0.0"),
+        ("eta", math.nan, ValueError, "eta must be finite, got nan"),
+        ("eta", "0.1", TypeError, "eta must be a real number, got '0.1'"),
+        ("j_steps", -1, ValueError, "j_steps must be >= 0, got -1"),
+        ("j_steps", 3.0, TypeError, "j_steps must be an integer, got 3.0"),
+        ("batch_size", 0, ValueError, "batch_size must be >= 1, got 0"),
+        ("batch_size", 2.5, TypeError, "batch_size must be an integer, got 2.5"),
+        ("cadence", 0, ValueError, "cadence must be >= 1, got 0"),
+        ("cadence", 2.5, TypeError, "cadence must be an integer, got 2.5"),
+        ("train_start", -1, ValueError, "train_start must be >= 0, got -1"),
+        ("train_start", True, TypeError, "train_start must be an integer, got True"),
+    ])
+    def test_bad_training_value_is_rejected_under_its_own_name(self, name, value, error,
+                                                             message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            self.fresh_policy(**{name: value})
+
+    @pytest.mark.parametrize("name", ["eta", "j_steps", "batch_size", "cadence",
+                                      "train_start"])
+    def test_every_training_keyword_is_required(self, name):
+        train = {key: value for key, value in FAST_TRAIN.items() if key != name}
+        with pytest.raises(TypeError, match=f"missing 1 required keyword-only argument: "
+                                            f"'{name}'"):
+            NeuralUCB(NetworkShape(8, 8, 2), 1.0, 0.5, np.random.default_rng(76), **train)
+
 
 class TestNeuralEpsilonGreedy:
     """The network learner with no width: greedy, or uniform with probability epsilon."""
 
     def test_full_exploration_is_uniform(self):
         shape = NetworkShape(4, 4, 2)
-        policy = NeuralUCB(shape, 1.0, None, np.random.default_rng(71), train=FAST_TRAIN,
+        policy = NeuralUCB(shape, 1.0, None, np.random.default_rng(71), **FAST_TRAIN,
                            epsilon=1.0)
         contexts = duplicated_contexts(4, 2, 72)
         counts = np.zeros(4)
@@ -361,7 +384,7 @@ class TestNeuralEpsilonGreedy:
 
     def test_zero_epsilon_is_deterministic_argmax(self):
         shape = NetworkShape(4, 4, 2)
-        policy = NeuralUCB(shape, 1.0, None, np.random.default_rng(73), train=FAST_TRAIN)
+        policy = NeuralUCB(shape, 1.0, None, np.random.default_rng(73), **FAST_TRAIN)
         one = duplicated_contexts(1, 2, 74)
         contexts = np.vstack([one, one, one])
         action, _ = policy.select(contexts)
@@ -370,7 +393,7 @@ class TestNeuralEpsilonGreedy:
     def test_epsilon_out_of_range_rejected(self):
         shape = NetworkShape(4, 4, 2)
         with pytest.raises(ValueError):
-            NeuralUCB(shape, 1.0, None, np.random.default_rng(75), epsilon=1.5)
+            NeuralUCB(shape, 1.0, None, np.random.default_rng(75), **FAST_TRAIN, epsilon=1.5)
 
 
 class TestNeuralUCB0:
@@ -485,8 +508,8 @@ class TestChoiceRule:
     @staticmethod
     def learners(rng):
         shape = NetworkShape(8, 8, 2)
-        yield NeuralUCB(shape, 1.0, 0.5, rng, train=FAST_TRAIN)
-        yield NeuralUCB(shape, 1.0, None, rng, train=FAST_TRAIN)
+        yield NeuralUCB(shape, 1.0, 0.5, rng, **FAST_TRAIN)
+        yield NeuralUCB(shape, 1.0, None, rng, **FAST_TRAIN)
         yield NeuralUCB0(*gradient_feature_map(shape, rng), 1.0, 0.5, rng=rng)
         yield NeuralUCB0(*gradient_feature_map(shape, rng), 1.0, None, rng=rng)
         yield KernelUCB(1.0, 0.5)
@@ -509,7 +532,7 @@ class TestChoiceRule:
 
         monkeypatch.setattr("neuralbandit.policies.gradient_batch", no_gradients)
         policy = NeuralUCB(NetworkShape(8, 8, 2), 1.0, None, np.random.default_rng(96),
-                           train=FAST_TRAIN, epsilon=0.3)
+                           **FAST_TRAIN, epsilon=0.3)
         contexts = duplicated_contexts(4, 4, 97)
         for _ in range(12):  # past the retrain at round 10
             action, _ = policy.select(contexts)
@@ -538,7 +561,7 @@ class TestChoiceRule:
     @pytest.mark.parametrize("mode", ["full", "diagonal"])
     def test_neural_select_runs_one_forward_pass_and_one_design_call(self, monkeypatch, mode):
         policy = NeuralUCB(NetworkShape(8, 8, 2), 1.0, 0.5, np.random.default_rng(102),
-                           train=FAST_TRAIN, design_mode=mode)
+                           **FAST_TRAIN, design_mode=mode)
         contexts = duplicated_contexts(4, 4, 103)
         policy.update(contexts[0], 1.0)
         passes = self.count_calls(monkeypatch, network, "_forward_pass")
@@ -549,9 +572,9 @@ class TestChoiceRule:
     def test_epsilon_explores_around_the_ucb_scores(self):
         shape = NetworkShape(8, 8, 2)
         ucb = NeuralUCB(shape, 1.0, 0.5, np.random.default_rng(100),
-                        train=FAST_TRAIN)
+                        **FAST_TRAIN)
         explorer = NeuralUCB(shape, 1.0, 0.5, np.random.default_rng(100),
-                             train=FAST_TRAIN, epsilon=1.0)
+                             **FAST_TRAIN, epsilon=1.0)
         contexts = duplicated_contexts(4, 4, 101)
         _, ucb_scores = ucb.select(contexts)
         actions = set()
@@ -621,7 +644,8 @@ class TestWidth:
         assert np.array_equal(scores, [0.0, 0.0])  # no data: means 0, variance 1
 
     @pytest.mark.parametrize("learner", [
-        lambda width: NeuralUCB(NetworkShape(4, 4, 2), 1.0, width, np.random.default_rng(115)),
+        lambda width: NeuralUCB(NetworkShape(4, 4, 2), 1.0, width, np.random.default_rng(115),
+                                **FAST_TRAIN),
         lambda width: NeuralUCB0(lambda x: x, 4, 1.0, width),
         lambda width: KernelUCB(1.0, width),
     ], ids=["neural_ucb", "neural_ucb0", "kernel_ucb"])
@@ -639,7 +663,7 @@ class TestWidth:
 CONTRACT_POLICIES = {
     "kernel_ucb": lambda: KernelUCB(1.0, 1.0),
     "neural_ucb": lambda: NeuralUCB(NetworkShape(4, 4, 2), 1.0, 0.5,
-                                    np.random.default_rng(110), train=FAST_TRAIN),
+                                    np.random.default_rng(110), **FAST_TRAIN),
     "lin_ucb": lambda: lin_ucb(4, gamma=1.0),
     "random": lambda: UniformRandomPolicy(np.random.default_rng(111)),
 }
